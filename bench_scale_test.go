@@ -28,7 +28,7 @@ func BenchmarkScaleTDVAnonymize(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					c := graph.NewCSR(g)
-					tdv, err := refine.TotalDegreePartitionCSRCtx(context.Background(), c)
+					tdv, err := refine.TotalDegreePartitionWorkersCSRCtx(context.Background(), c, 1)
 					if err != nil {
 						b.Fatal(err)
 					}

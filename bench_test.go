@@ -6,7 +6,7 @@ package ksymmetry
 // minutes; `go run ./cmd/kexp` runs the paper-scale versions.
 
 import (
-	"math/rand"
+	"context"
 	"sync"
 	"testing"
 
@@ -163,24 +163,6 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkOrbitComputation measures the nauty-substitute on each
-// network (the paper's §7 discussion of Orb(G) computation cost).
-func BenchmarkOrbitComputation(b *testing.B) {
-	for _, name := range datasets.NetworkNames() {
-		g, err := experiments.NewEnv(datasets.DefaultSeed).Graph(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := automorphism.OrbitPartition(g, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkOrbitPruning is the DESIGN.md §4 ablation: generator-orbit
 // pruning on vs off (identical results, different work).
 func BenchmarkOrbitPruning(b *testing.B) {
@@ -230,17 +212,16 @@ func BenchmarkSamplers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, f func(*graph.Graph, *partition.Partition, int, *sampling.Options) (*graph.Graph, error)) {
-		rng := rand.New(rand.NewSource(1))
-		b.ResetTimer()
+	run := func(b *testing.B, m sampling.Sampler) {
 		for i := 0; i < b.N; i++ {
-			if _, err := f(res.Graph, res.Partition, g.N(), &sampling.Options{Rng: rng}); err != nil {
+			opts := &sampling.Options{Seed: int64(i), Parallelism: 1, Method: m}
+			if _, err := sampling.Batch(res.Graph, res.Partition, g.N(), 1, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("exact", func(b *testing.B) { run(b, sampling.Exact) })
-	b.Run("approximate", func(b *testing.B) { run(b, sampling.Approximate) })
+	b.Run("exact", func(b *testing.B) { run(b, sampling.SamplerExact) })
+	b.Run("approximate", func(b *testing.B) { run(b, sampling.SamplerApproximate) })
 }
 
 // BenchmarkBackbone measures Algorithm 2 on the anonymized Enron graph.
@@ -256,7 +237,9 @@ func BenchmarkBackbone(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ksym.Backbone(res.Graph, res.Partition)
+		if _, err := ksym.BackboneWorkersCtx(context.Background(), res.Graph, res.Partition, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -326,7 +309,9 @@ func BenchmarkBackboneGenerated(b *testing.B) {
 			b.Run(kind+"-"+itoa(n/1000)+"k", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ksym.Backbone(res.Graph, res.Partition)
+					if _, err := ksym.BackboneWorkersCtx(context.Background(), res.Graph, res.Partition, 1); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
@@ -352,20 +337,5 @@ func BenchmarkExtendedUtility(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.ExtendedUtility(nil, e, 5, 3)
-	}
-}
-
-// BenchmarkOrbitParallel is the worker-count ablation for the parallel
-// cell classification on the largest network.
-func BenchmarkOrbitParallel(b *testing.B) {
-	g := datasets.NetTrace(datasets.DefaultSeed)
-	for _, workers := range []int{1, 4} {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := automorphism.OrbitPartition(g, &automorphism.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

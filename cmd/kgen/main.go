@@ -38,7 +38,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kgen:", err)
 		os.Exit(1)
 	}
-	s := stats.Summarize(*model, g)
+	s := stats.Summarize(*model, graph.NewCSR(g))
 	fmt.Fprintf(os.Stderr, "%s: %d vertices, %d edges, degree min/median/avg/max = %d/%d/%.2f/%d\n",
 		s.Name, s.Vertices, s.Edges, s.MinDeg, s.MedianDeg, s.AvgDeg, s.MaxDeg)
 	if *out == "" {

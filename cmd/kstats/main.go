@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -45,28 +46,28 @@ func main() {
 		rng := rand.New(rand.NewSource(*seed))
 		a, b := graphs[0], graphs[1]
 		fmt.Println("Kolmogorov-Smirnov distances (first vs second):")
-		fmt.Printf("  degree:      %.4f\n", stats.KolmogorovSmirnov(stats.DegreeSampleCSR(a), stats.DegreeSampleCSR(b)))
-		ap := stats.PathLengthSampleCSR(a, *pairs, rng)
-		bp := stats.PathLengthSampleCSR(b, *pairs, rng)
+		fmt.Printf("  degree:      %.4f\n", stats.KolmogorovSmirnov(stats.DegreeSample(a), stats.DegreeSample(b)))
+		ap := stats.PathLengthSample(a, *pairs, rng)
+		bp := stats.PathLengthSample(b, *pairs, rng)
 		if ap.Len() > 0 && bp.Len() > 0 {
 			fmt.Printf("  path length: %.4f\n", stats.KolmogorovSmirnov(ap, bp))
 		}
-		fmt.Printf("  clustering:  %.4f\n", stats.KolmogorovSmirnov(stats.ClusteringSampleCSR(a), stats.ClusteringSampleCSR(b)))
+		fmt.Printf("  clustering:  %.4f\n", stats.KolmogorovSmirnov(stats.ClusteringSample(a), stats.ClusteringSample(b)))
 	}
 }
 
 func describe(name string, g *graph.CSR, pairs int, seed int64) {
-	s := stats.SummarizeCSR(name, g)
+	s := stats.Summarize(name, g)
 	fmt.Printf("%s: %d vertices, %d edges, degree min/median/avg/max = %d/%d/%.2f/%d\n",
 		s.Name, s.Vertices, s.Edges, s.MinDeg, s.MedianDeg, s.AvgDeg, s.MaxDeg)
 	fmt.Printf("  connected: %v (largest component %d)\n", g.IsConnected(), g.LargestComponentSize())
-	fmt.Printf("  mean clustering coefficient: %.4f\n", stats.GlobalClusteringCSR(g))
+	fmt.Printf("  mean clustering coefficient: %.4f\n", stats.GlobalClustering(g))
 	rng := rand.New(rand.NewSource(seed))
-	pl := stats.PathLengthSampleCSR(g, pairs, rng)
+	pl := stats.PathLengthSample(g, pairs, rng)
 	if pl.Len() > 0 {
 		fmt.Printf("  mean shortest path (over %d sampled pairs): %.2f\n", pl.Len(), pl.Mean())
 	}
-	hist := stats.DegreeHistogramCSR(g)
+	hist := stats.DegreeHistogram(g)
 	fmt.Printf("  degree histogram (deg:count):")
 	printed := 0
 	for d, c := range hist {
@@ -83,7 +84,11 @@ func describe(name string, g *graph.CSR, pairs int, seed int64) {
 	fmt.Println()
 	fracs := []float64{0, 0.05, 0.1, 0.2, 0.4}
 	fmt.Printf("  resilience at removal fractions %v:", fracs)
-	for _, r := range stats.ResilienceCSR(g, fracs) {
+	res, err := stats.Resilience(context.Background(), g, fracs, 1)
+	if err != nil {
+		fatal(err)
+	}
+	for _, r := range res {
 		fmt.Printf(" %.3f", r)
 	}
 	fmt.Println()

@@ -9,8 +9,16 @@
 // network's statistics from the published graph.
 //
 // Entry points:
-//   - internal/core: the public facade over the pipeline
-//   - cmd/ksym, cmd/ksample, cmd/kstats, cmd/kexp: command-line tools
+//   - one context-first function per kernel: automorphism.OrbitPartitionCtx
+//     and CanonicalFormCtx; refine.TotalDegreePartitionWorkersCSRCtx and
+//     EquitableWorkersCSRCtx; ksym.AnonymizeFCtx, MinimalAnonymizeFCtx and
+//     BackboneWorkersCtx; sampling.BatchCtx; the stats statistics, which
+//     read a frozen graph.CSR
+//   - internal/pipeline: load → partition → anonymize → publish under
+//     one deadline, with the partition degradation ladder
+//   - internal/core: the one-import facade for examples/
+//   - cmd/ksym, cmd/ksample, cmd/kstats, cmd/kexp, cmd/ksymd: command-line
+//     tools and the anonymization service
 //   - examples/: runnable walkthroughs
 //   - bench_test.go (this package): one benchmark per paper table/figure
 //

@@ -109,23 +109,18 @@ func TestCSRKernelsMatchSliceGolden(t *testing.T) {
 			if got := partitionHash(tdv); got != want.tdv {
 				t.Errorf("tdv partition hash = %s, want %s", got, want.tdv)
 			}
-			// The frozen-view entry point must agree with the *Graph one.
-			tdvCSR, err := refine.TotalDegreePartitionCSRCtx(context.Background(), graph.NewCSR(g))
-			if err != nil {
-				t.Fatalf("tdv csr: %v", err)
-			}
-			if got := partitionHash(tdvCSR); got != want.tdv {
-				t.Errorf("tdv-via-CSR partition hash = %s, want %s", got, want.tdv)
-			}
-			// The parallel refinement pass must hit the same pin (these
-			// networks are under its size cutover, but the routing itself
-			// is part of the contract).
-			tdvPar, err := refine.TotalDegreePartitionWorkersCSRCtx(context.Background(), graph.NewCSR(g), 4)
-			if err != nil {
-				t.Fatalf("tdv workers: %v", err)
-			}
-			if got := partitionHash(tdvPar); got != want.tdv {
-				t.Errorf("tdv-workers partition hash = %s, want %s", got, want.tdv)
+			// The frozen-view entry point must hit the same pin at worker
+			// counts 1 and 4 (these networks are under the parallel pass's
+			// size cutover, but the routing itself is part of the
+			// contract).
+			for _, w := range []int{1, 4} {
+				tdvCSR, err := refine.TotalDegreePartitionWorkersCSRCtx(context.Background(), graph.NewCSR(g), w)
+				if err != nil {
+					t.Fatalf("tdv w=%d: %v", w, err)
+				}
+				if got := partitionHash(tdvCSR); got != want.tdv {
+					t.Errorf("tdv-via-CSR w=%d partition hash = %s, want %s", w, got, want.tdv)
+				}
 			}
 			// The orbit search is pinned at worker counts 1 and 4: the
 			// parallel classifier promises byte-identical orbits AND a

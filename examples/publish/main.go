@@ -59,28 +59,30 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
 	const samples = 20
+	sampled, err := core.SampleBatch(gp, vp, g.N(), samples, &core.SamplingOptions{Seed: 7})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
 	var degS, pathS []stats.Sample
-	for i := 0; i < samples; i++ {
-		s, err := core.SampleApproximate(gp, vp, g.N(), &core.SamplingOptions{Rng: rng})
-		if err != nil {
-			log.Fatal(err)
-		}
-		degS = append(degS, stats.DegreeSample(s))
-		pathS = append(pathS, stats.PathLengthSample(s, 500, rng))
+	for _, s := range sampled {
+		c := graph.NewCSR(s)
+		degS = append(degS, stats.DegreeSample(c))
+		pathS = append(pathS, stats.PathLengthSample(c, 500, rng))
 	}
 	pooledDeg := stats.Merge(degS)
 	pooledPath := stats.Merge(pathS)
 
 	// Ground truth (the analyst can't compute this; we can, to score).
-	origDeg := stats.DegreeSample(g)
-	origPath := stats.PathLengthSample(g, 500, rng)
+	gc := graph.NewCSR(g)
+	origDeg := stats.DegreeSample(gc)
+	origPath := stats.PathLengthSample(gc, 500, rng)
 	fmt.Printf("\nanalyst recovery from %d samples:\n", samples)
 	fmt.Printf("  mean degree:      true %.2f, recovered %.2f (KS %.3f)\n",
 		origDeg.Mean(), pooledDeg.Mean(), stats.KolmogorovSmirnov(origDeg, pooledDeg))
 	fmt.Printf("  mean path length: true %.2f, recovered %.2f (KS %.3f)\n",
 		origPath.Mean(), pooledPath.Mean(), stats.KolmogorovSmirnov(origPath, pooledPath))
 	fmt.Printf("  mean clustering:  true %.3f, recovered via samples — see kexp -exp fig8 for the full panel\n",
-		stats.GlobalClustering(g))
+		stats.GlobalClustering(gc))
 }

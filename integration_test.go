@@ -5,12 +5,13 @@ package ksymmetry
 // utility guarantees on a real-scale network.
 
 import (
-	"math/rand"
+	"context"
 	"path/filepath"
 	"testing"
 
 	"ksymmetry/internal/automorphism"
 	"ksymmetry/internal/datasets"
+	"ksymmetry/internal/graph"
 	"ksymmetry/internal/knowledge"
 	"ksymmetry/internal/ksym"
 	"ksymmetry/internal/publish"
@@ -57,19 +58,18 @@ func TestEndToEndPublishRecover(t *testing.T) {
 	}
 
 	// Utility: pooled samples track the original degree distribution.
-	rng := rand.New(rand.NewSource(9))
+	samples, err := sampling.Batch(rel.Graph, rel.Partition, rel.OriginalN, 10, &sampling.Options{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var degS []stats.Sample
-	for i := 0; i < 10; i++ {
-		s, err := sampling.Approximate(rel.Graph, rel.Partition, rel.OriginalN, &sampling.Options{Rng: rng})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, s := range samples {
 		if s.N() != g.N() {
 			t.Fatalf("sample size %d, want %d", s.N(), g.N())
 		}
-		degS = append(degS, stats.DegreeSample(s))
+		degS = append(degS, stats.DegreeSample(graph.NewCSR(s)))
 	}
-	ks := stats.KolmogorovSmirnov(stats.DegreeSample(g), stats.Merge(degS))
+	ks := stats.KolmogorovSmirnov(stats.DegreeSample(graph.NewCSR(g)), stats.Merge(degS))
 	if ks > 0.25 {
 		t.Errorf("degree KS = %.3f, expected close recovery", ks)
 	}
@@ -91,14 +91,13 @@ func TestEndToEndDiameterPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4))
 	within := 0
 	const trials = 10
-	for i := 0; i < trials; i++ {
-		s, err := sampling.Approximate(res.Graph, res.Partition, g.N(), &sampling.Options{Rng: rng})
-		if err != nil {
-			t.Fatal(err)
-		}
+	samples, err := sampling.Batch(res.Graph, res.Partition, g.N(), trials, &sampling.Options{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range samples {
 		d := stats.Diameter(s)
 		if d > 0 && d >= orig/2 && d <= 2*orig {
 			within++
@@ -123,7 +122,7 @@ func TestEndToEndMinimalAndHubExclusionCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := ksym.MinimalAnonymizeF(g, orb, ksym.TopFractionTarget(g, 5, 0.02))
+	combined, err := ksym.MinimalAnonymizeFCtx(context.Background(), g, orb, ksym.TopFractionTarget(g, 5, 0.02))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,14 @@ package automorphism
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"sync/atomic"
 
 	"ksymmetry/internal/graph"
-	"ksymmetry/internal/parallel"
 	"ksymmetry/internal/refine"
 )
 
-// Canonical labeling: CanonicalForm relabels a graph into a canonical
+// Canonical labeling: CanonicalFormCtx relabels a graph into a canonical
 // representative of its isomorphism class, so two graphs are isomorphic
 // iff their certificates are equal. The search individualizes vertices
 // of an invariantly-chosen refinement cell, recurses, and keeps the
@@ -26,36 +25,14 @@ const DefaultMaxLeaves = 1 << 14
 // ErrCanonicalBudget is returned when the leaf budget is exhausted.
 var ErrCanonicalBudget = fmt.Errorf("automorphism: canonical-form leaf budget exceeded")
 
-// CanonicalForm returns a relabeling perm (old id → canonical id) and
-// the certificate of g's isomorphism class. maxLeaves ≤ 0 selects
-// DefaultMaxLeaves.
-func CanonicalForm(g *graph.Graph, maxLeaves int) (Perm, string, error) {
-	return CanonicalFormCtx(context.Background(), g, maxLeaves)
-}
-
-// CanonicalFormCtx is CanonicalForm under a context: the search polls
-// ctx.Err() once per tree node (each node performs a full incremental
-// refinement, so the poll is amortized noise) and returns the context's
-// error as soon as it fires.
+// CanonicalFormCtx returns a relabeling perm (old id → canonical id)
+// and the certificate of g's isomorphism class. maxLeaves ≤ 0 selects
+// DefaultMaxLeaves. The search polls ctx.Err() once per tree node and
+// on an amortized cadence inside the node's quadratic scans (the
+// quotient refinement of CanonicalColors, the twin filter of
+// branchCandidates), and returns the context's error as soon as it
+// fires.
 func CanonicalFormCtx(ctx context.Context, g *graph.Graph, maxLeaves int) (Perm, string, error) {
-	return CanonicalFormWorkersCtx(ctx, g, maxLeaves, 1)
-}
-
-// CanonicalFormWorkers is CanonicalFormWorkersCtx without a context.
-func CanonicalFormWorkers(g *graph.Graph, maxLeaves, workers int) (Perm, string, error) {
-	return CanonicalFormWorkersCtx(context.Background(), g, maxLeaves, workers)
-}
-
-// CanonicalFormWorkersCtx fans the canonical search's root branches out
-// across a bounded worker pool: the invariant target cell of the root
-// refinement splits into one subtree per (twin-filtered) member, each
-// worker explores its subtrees with a private Refiner, and the winners
-// merge by (key, branch index). The leaf budget is one shared atomic
-// counter, so whether the search completes or errs with
-// ErrCanonicalBudget depends only on the total leaf count — the result
-// (perm, certificate, or error) is byte-identical at every worker
-// count.
-func CanonicalFormWorkersCtx(ctx context.Context, g *graph.Graph, maxLeaves, workers int) (Perm, string, error) {
 	if maxLeaves <= 0 {
 		maxLeaves = DefaultMaxLeaves
 	}
@@ -63,86 +40,19 @@ func CanonicalFormWorkersCtx(ctx context.Context, g *graph.Graph, maxLeaves, wor
 	if n == 0 {
 		return Perm{}, "0|0|", nil
 	}
-	var leaves atomic.Int64
-	root := &canonSearch{ctx: ctx, g: g, budget: int64(maxLeaves), leaves: &leaves}
-	colors, target, maxColor, err := root.refineStep(make([]int, n))
-	if err != nil {
+	c := &canonSearch{ctx: ctx, g: g, ref: refine.NewRefiner(graph.NewCSR(g)), budget: maxLeaves}
+	if err := c.rec(make([]int, n)); err != nil {
 		return nil, "", err
 	}
-	branches := branchCandidates(g, colors, target)
-	if w := parallel.Resolve(workers, len(branches)); w > 1 {
-		// One reusable search per worker; ForEach's claim counter maps
-		// branch i to whichever worker frees up first.
-		pool := make([]canonSearch, w)
-		for i := range pool {
-			pool[i] = canonSearch{g: g, budget: int64(maxLeaves), leaves: &leaves}
-		}
-		best := make([]canonSearch, len(branches))
-		err := parallel.ForEach(ctx, w, len(branches), func(pctx context.Context, wid, i int) error {
-			c := &pool[wid]
-			c.ctx = pctx
-			c.bestKey, c.bestPerm = "", nil
-			next := append([]int(nil), colors...)
-			next[branches[i]] = maxColor + 1
-			if err := c.rec(next); err != nil {
-				return err
-			}
-			best[i].bestKey, best[i].bestPerm = c.bestKey, c.bestPerm
-			return nil
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		// Merge rule: strictly smaller key wins, earliest branch on
-		// ties — the exact leaf the sequential depth-first order keeps.
-		win := 0
-		for i := 1; i < len(best); i++ {
-			if best[i].bestKey < best[win].bestKey {
-				win = i
-			}
-		}
-		return best[win].bestPerm, fmt.Sprintf("%d|%d|%s", n, g.M(), best[win].bestKey), nil
-	}
-	if target == -1 {
-		if err := root.leaf(colors); err != nil {
-			return nil, "", err
-		}
-	} else {
-		for _, v := range branches {
-			next := append([]int(nil), colors...)
-			next[v] = maxColor + 1
-			if err := root.rec(next); err != nil {
-				return nil, "", err
-			}
-		}
-	}
-	return root.bestPerm, fmt.Sprintf("%d|%d|%s", n, g.M(), root.bestKey), nil
-}
-
-// Certificate returns only the certificate string.
-func Certificate(g *graph.Graph, maxLeaves int) (string, error) {
-	_, cert, err := CanonicalForm(g, maxLeaves)
-	return cert, err
-}
-
-// CertificateCtx is Certificate under a context.
-func CertificateCtx(ctx context.Context, g *graph.Graph, maxLeaves int) (string, error) {
-	_, cert, err := CanonicalFormCtx(ctx, g, maxLeaves)
-	return cert, err
-}
-
-// CertificateWorkersCtx is CertificateCtx over a worker pool.
-func CertificateWorkersCtx(ctx context.Context, g *graph.Graph, maxLeaves, workers int) (string, error) {
-	_, cert, err := CanonicalFormWorkersCtx(ctx, g, maxLeaves, workers)
-	return cert, err
+	return c.bestPerm, fmt.Sprintf("%d|%d|%s", n, g.M(), c.bestKey), nil
 }
 
 type canonSearch struct {
 	ctx      context.Context
 	g        *graph.Graph
-	ref      *refine.Refiner // reused across the worker's whole subtree
-	budget   int64
-	leaves   *atomic.Int64 // shared across parallel branches
+	ref      *refine.Refiner // reused across the whole tree
+	budget   int
+	leaves   int
 	bestKey  string
 	bestPerm Perm
 }
@@ -154,14 +64,14 @@ func (c *canonSearch) refineStep(init []int) ([]int, int, int, error) {
 	if err := c.ctx.Err(); err != nil {
 		return nil, 0, 0, err
 	}
-	if c.ref == nil {
-		c.ref = refine.NewRefiner(c.g)
-	}
 	c.ref.ResetColors(init)
 	if err := c.ref.RunCtx(c.ctx); err != nil {
 		return nil, 0, 0, err
 	}
-	colors := c.ref.CanonicalColors(nil)
+	colors, err := c.ref.CanonicalColors(c.ctx, nil)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	// Count color multiplicities; find the smallest color with
 	// multiplicity ≥ 2 (an invariant choice, since refinement ids are
 	// canonical by content).
@@ -185,12 +95,10 @@ func (c *canonSearch) refineStep(init []int) ([]int, int, int, error) {
 	return colors, target, maxColor, nil
 }
 
-// leaf scores one discrete labeling against the worker's best.
+// leaf scores one discrete labeling against the best so far.
 func (c *canonSearch) leaf(colors []int) error {
-	// The budget is a shared total across all parallel branches, so
-	// budget exhaustion depends only on how many leaves the whole tree
-	// has, not on which worker visits them.
-	if c.leaves.Add(1) > c.budget {
+	c.leaves++
+	if c.leaves > c.budget {
 		return ErrCanonicalBudget
 	}
 	perm := rankPerm(colors)
@@ -204,15 +112,26 @@ func (c *canonSearch) leaf(colors []int) error {
 
 // branchCandidates lists the target cell's members, skipping twins of
 // already-listed ones (mapping twin → twin yields the same leaf set).
-// Returns nil when target is -1.
-func branchCandidates(g *graph.Graph, colors []int, target int) []int {
+// Returns nil when target is -1. The twin scan is quadratic in the cell
+// size (about 500k checks at the root of Cycle(1000)), so it polls ctx
+// on the amortized cadence of mappingSearch.try: the counter advances by
+// the checks a member costs, scaled by its row length.
+func branchCandidates(ctx context.Context, g *graph.Graph, colors []int, target int) ([]int, error) {
 	if target == -1 {
-		return nil
+		return nil, nil
 	}
 	var branched []int
+	work := 0
 	for v := 0; v < g.N(); v++ {
 		if colors[v] != target {
 			continue
+		}
+		work += (len(branched) + 1) * (g.Degree(v) + 1)
+		if work >= 1<<16 {
+			work = 0
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
 		twin := false
 		for _, u := range branched {
@@ -225,7 +144,7 @@ func branchCandidates(g *graph.Graph, colors []int, target int) []int {
 			branched = append(branched, v)
 		}
 	}
-	return branched
+	return branched, nil
 }
 
 func (c *canonSearch) rec(init []int) error {
@@ -236,7 +155,11 @@ func (c *canonSearch) rec(init []int) error {
 	if target == -1 {
 		return c.leaf(colors)
 	}
-	for _, v := range branchCandidates(c.g, colors, target) {
+	branches, err := branchCandidates(c.ctx, c.g, colors, target)
+	if err != nil {
+		return err
+	}
+	for _, v := range branches {
 		next := append([]int(nil), colors...)
 		next[v] = maxColor + 1
 		if err := c.rec(next); err != nil {
@@ -247,34 +170,38 @@ func (c *canonSearch) rec(init []int) error {
 }
 
 // sameNeighborhood reports open or closed neighborhood equality — the
-// twin relation, under which swapping u and v is an automorphism.
+// twin relation, under which swapping u and v is an automorphism. Both
+// checks walk the sorted rows in place, without allocating.
 func sameNeighborhood(g *graph.Graph, u, v int) bool {
 	nu, nv := g.Neighbors(u), g.Neighbors(v)
 	if len(nu) != len(nv) {
 		return false
 	}
-	open, closed := true, true
-	for i := range nu {
-		if nu[i] != nv[i] {
-			open = false
-			break
-		}
-	}
-	if open {
+	if slices.Equal(nu, nv) {
 		return true
 	}
-	// Closed: N(u) ∪ {u} == N(v) ∪ {v}.
-	cu := append(append([]int(nil), nu...), u)
-	cv := append(append([]int(nil), nv...), v)
-	sort.Ints(cu)
-	sort.Ints(cv)
-	for i := range cu {
-		if cu[i] != cv[i] {
-			closed = false
-			break
+	// Closed: N(u) ∪ {u} == N(v) ∪ {v}. Merge u into nu and v into nv on
+	// the fly (neither row contains its own vertex) and compare the two
+	// sorted sequences element by element.
+	i, j := 0, 0
+	uIn, vIn := false, false
+	for k := 0; k <= len(nu); k++ {
+		a, b := 0, 0
+		if !uIn && (i == len(nu) || u < nu[i]) {
+			a, uIn = u, true
+		} else {
+			a, i = nu[i], i+1
+		}
+		if !vIn && (j == len(nv) || v < nv[j]) {
+			b, vIn = v, true
+		} else {
+			b, j = nv[j], j+1
+		}
+		if a != b {
+			return false
 		}
 	}
-	return closed
+	return true
 }
 
 // rankPerm converts a discrete coloring into the permutation sending
@@ -311,19 +238,4 @@ func labeledAdjacencyKey(g *graph.Graph, perm Perm) string {
 		bits[pos(perm[e[0]], perm[e[1]])] = '1'
 	}
 	return string(bits)
-}
-
-// IsomorphicByCertificate reports whether a and b are isomorphic by
-// comparing canonical certificates — useful when one graph is compared
-// against many.
-func IsomorphicByCertificate(a, b *graph.Graph, maxLeaves int) (bool, error) {
-	ca, err := Certificate(a, maxLeaves)
-	if err != nil {
-		return false, err
-	}
-	cb, err := Certificate(b, maxLeaves)
-	if err != nil {
-		return false, err
-	}
-	return ca == cb, nil
 }

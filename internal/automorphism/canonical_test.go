@@ -1,6 +1,7 @@
 package automorphism
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -9,13 +10,19 @@ import (
 	"ksymmetry/internal/graph"
 )
 
+// certificate returns the certificate half of CanonicalFormCtx.
+func certificate(g *graph.Graph, maxLeaves int) (string, error) {
+	_, cert, err := CanonicalFormCtx(context.Background(), g, maxLeaves)
+	return cert, err
+}
+
 func TestCertificateInvariantUnderRelabel(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(14, 0.3, seed)
 		perm := rand.New(rand.NewSource(seed + 5)).Perm(g.N())
 		h := g.Permute(perm)
-		ca, err1 := Certificate(g, 0)
-		cb, err2 := Certificate(h, 0)
+		ca, err1 := certificate(g, 0)
+		cb, err2 := certificate(h, 0)
 		return err1 == nil && err2 == nil && ca == cb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -47,11 +54,15 @@ func TestCertificateSeparatesNonIsomorphic(t *testing.T) {
 		{"star vs path", star(3), pathGraph(4)},
 	}
 	for _, p := range pairs {
-		iso, err := IsomorphicByCertificate(p.a, p.b, 0)
+		ca, err := certificate(p.a, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		if iso {
+		cb, err := certificate(p.b, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if ca == cb {
 			t.Errorf("%s: certificates collide for non-isomorphic graphs", p.name)
 		}
 	}
@@ -64,8 +75,9 @@ func TestCertificateMatchesIsomorphicSearch(t *testing.T) {
 		a := randomGraph(10, 0.3, seed)
 		b := randomGraph(10, 0.3, seed+1000)
 		_, isoSearch := graph.Isomorphic(a, b)
-		isoCert, err := IsomorphicByCertificate(a, b, 0)
-		return err == nil && isoSearch == isoCert
+		ca, err1 := certificate(a, 0)
+		cb, err2 := certificate(b, 0)
+		return err1 == nil && err2 == nil && isoSearch == (ca == cb)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -74,7 +86,7 @@ func TestCertificateMatchesIsomorphicSearch(t *testing.T) {
 
 func TestCanonicalFormPermutation(t *testing.T) {
 	g := petersen()
-	perm, cert, err := CanonicalForm(g, 0)
+	perm, cert, err := CanonicalFormCtx(context.Background(), g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +95,7 @@ func TestCanonicalFormPermutation(t *testing.T) {
 	}
 	// Relabeling by the canonical permutation must not change the
 	// certificate (it's the same isomorphism class).
-	cert2, err := Certificate(g.Permute(perm), 0)
+	cert2, err := certificate(g.Permute(perm), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,37 +108,62 @@ func TestCanonicalTwinHeavyGraphsCheap(t *testing.T) {
 	// Stars and cliques have factorial leaf sets without the twin cut;
 	// with it they are linear. A tiny budget must suffice.
 	for _, g := range []*graph.Graph{star(30), complete(12)} {
-		if _, err := Certificate(g, 64); err != nil {
+		if _, err := certificate(g, 64); err != nil {
 			t.Fatalf("twin cut failed to bound the search: %v", err)
 		}
 	}
 }
 
 func TestCanonicalBudget(t *testing.T) {
-	_, err := Certificate(cycle(8), 1)
+	_, err := certificate(cycle(8), 1)
 	if !errors.Is(err, ErrCanonicalBudget) {
 		t.Fatalf("err = %v, want ErrCanonicalBudget", err)
 	}
 }
 
 func TestCanonicalEmptyAndSingle(t *testing.T) {
-	if _, err := Certificate(graph.New(0), 0); err != nil {
+	if _, err := certificate(graph.New(0), 0); err != nil {
 		t.Fatal(err)
 	}
-	c1, err := Certificate(graph.New(1), 0)
+	c1, err := certificate(graph.New(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Certificate(graph.New(1), 0)
+	c2, err := certificate(graph.New(1), 0)
 	if err != nil || c1 != c2 {
 		t.Fatal("single-vertex certificates must agree")
 	}
 }
 
 func TestCertificateDistinguishesEdgeCounts(t *testing.T) {
-	a, _ := Certificate(pathGraph(4), 0)
-	b, _ := Certificate(cycle(4), 0)
+	a, _ := certificate(pathGraph(4), 0)
+	b, _ := certificate(cycle(4), 0)
 	if a == b {
 		t.Fatal("P4 and C4 certificates collide")
+	}
+}
+
+// The branch scan calls sameNeighborhood for every (listed, candidate)
+// pair of the target cell — about 500k times at the root of
+// Cycle(1000) — so a pair that falls through to the closed-
+// neighborhood check must not allocate.
+func TestSameNeighborhoodClosedCheckAllocs(t *testing.T) {
+	paw := pathGraph(4) // 0-1-2-3 plus 0-2: N[0] = N[1] = {0,1,2}
+	paw.AddEdge(0, 2)
+	cases := []struct {
+		g    *graph.Graph
+		u, v int
+		want bool
+	}{
+		{paw, 0, 1, true},       // closed twins, open neighborhoods differ
+		{cycle(5), 0, 1, false}, // equal degree, neither relation holds
+	}
+	for _, c := range cases {
+		if got := sameNeighborhood(c.g, c.u, c.v); got != c.want {
+			t.Fatalf("sameNeighborhood(%d,%d) = %v, want %v", c.u, c.v, got, c.want)
+		}
+		if a := testing.AllocsPerRun(100, func() { sameNeighborhood(c.g, c.u, c.v) }); a != 0 {
+			t.Fatalf("sameNeighborhood(%d,%d) allocates %v times per call, want 0", c.u, c.v, a)
+		}
 	}
 }

@@ -446,12 +446,12 @@ func (w *searchWorker) findMapping(rd *round, dst int) (Perm, bool, error) {
 func (w *searchWorker) individualizedColors(v int, buf []int) ([]int, error) {
 	obsRestores.Inc()
 	if w.ref == nil {
-		w.ref = refine.NewRefinerCSR(w.c.csr)
+		w.ref = refine.NewRefiner(w.c.csr)
 	}
 	w.ref.Restore(w.c.base)
 	w.ref.Individualize(v)
 	if err := w.ref.RunCtx(w.c.ctx); err != nil {
 		return buf, err
 	}
-	return w.ref.CanonicalColors(buf), nil
+	return w.ref.CanonicalColors(w.c.ctx, buf)
 }

@@ -15,8 +15,8 @@ import (
 
 // ErrBudgetExceeded is returned when the backtracking search gives up
 // before producing an exact answer. Callers can fall back to the
-// refinement partition (refine.TotalDegreePartition), the paper's own
-// large-graph fallback (§7).
+// refinement partition (refine.TotalDegreePartitionWorkersCSRCtx), the
+// paper's own large-graph fallback (§7).
 var ErrBudgetExceeded = errors.New("automorphism: search node budget exceeded")
 
 // errPruned aborts a pairwise search whose pair the committed orbit
@@ -74,17 +74,17 @@ func (o *Options) bestEffort() bool { return o != nil && o.BestEffort }
 
 func (o *Options) orbitPruningDisabled() bool { return o != nil && o.DisableOrbitPruning }
 
-// OrbitPartition computes the automorphism partition Orb(G) exactly,
-// along with the automorphism generators discovered on the way. For
-// every pair of vertices it either finds an automorphism mapping one to
-// the other or proves none exists, so the returned partition is exactly
-// Orb(G) unless ErrBudgetExceeded is returned.
+// OrbitPartition is OrbitPartitionCtx without a context.
 func OrbitPartition(g *graph.Graph, opts *Options) (*partition.Partition, []Perm, error) {
 	return OrbitPartitionCtx(context.Background(), g, opts)
 }
 
-// OrbitPartitionCtx is OrbitPartition under a context: the backtracking
-// search polls ctx.Err() every ~64k scan steps (reusing the node-budget
+// OrbitPartitionCtx computes the automorphism partition Orb(G) exactly,
+// along with the automorphism generators discovered on the way. For
+// every pair of vertices it either finds an automorphism mapping one to
+// the other or proves none exists, so the returned partition is exactly
+// Orb(G) unless ErrBudgetExceeded is returned. The backtracking search
+// polls ctx.Err() every ~64k scan steps (reusing the node-budget
 // counter, so the hot path stays allocation-free) and returns the
 // context's error as soon as it fires.
 func OrbitPartitionCtx(ctx context.Context, g *graph.Graph, opts *Options) (*partition.Partition, []Perm, error) {
@@ -97,7 +97,7 @@ func OrbitPartitionCtx(ctx context.Context, g *graph.Graph, opts *Options) (*par
 	// instead of re-refining the whole graph (the IR-tree shortcut).
 	// One frozen CSR view feeds every worker's Refiner.
 	csr := graph.NewCSR(g)
-	r := refine.NewRefinerCSR(csr)
+	r := refine.NewRefiner(csr)
 	r.ResetColors(make([]int, n))
 	if err := r.RunCtx(ctx); err != nil {
 		return nil, nil, err
@@ -108,7 +108,10 @@ func OrbitPartitionCtx(ctx context.Context, g *graph.Graph, opts *Options) (*par
 	// fast path searches with these; only pairs whose fast search
 	// exceeds its small budget pay for per-pair individualized
 	// refinement.
-	baseColors := r.CanonicalColors(nil)
+	baseColors, err := r.CanonicalColors(ctx, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	uf := newUnionFind(n)
 	var gens []Perm
 	// Twin pre-pass: two vertices with identical open neighborhoods
@@ -193,19 +196,6 @@ func twinPairs(g *graph.Graph) [][2]int {
 		}
 	}
 	return pairs
-}
-
-// Generators returns automorphism generators sufficient to generate the
-// orbit partition (the same set OrbitPartition discovers).
-func Generators(g *graph.Graph, opts *Options) ([]Perm, error) {
-	_, gens, err := OrbitPartition(g, opts)
-	return gens, err
-}
-
-// GeneratorsCtx is Generators under a context.
-func GeneratorsCtx(ctx context.Context, g *graph.Graph, opts *Options) ([]Perm, error) {
-	_, gens, err := OrbitPartitionCtx(ctx, g, opts)
-	return gens, err
 }
 
 // fastSearchBudget caps the cheap first attempt of each pairwise
@@ -475,10 +465,11 @@ func (h *intHeap) pop() int64 {
 // a convenience wrapper over the worklist Refiner for callers without a
 // reusable one.
 func canonicalRefine(g *graph.Graph, init []int) []int {
-	r := refine.NewRefiner(g)
+	r := refine.NewRefiner(graph.NewCSR(g))
 	r.ResetColors(init)
 	r.Run()
-	return r.CanonicalColors(nil)
+	colors, _ := r.CanonicalColors(context.Background(), nil) // never cancelled
+	return colors
 }
 
 func sameHistogram(a, b []int) bool {

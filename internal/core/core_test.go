@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"ksymmetry/internal/datasets"
+	"ksymmetry/internal/sampling"
 )
 
 // TestPipeline exercises the full publish/recover pipeline through the
-// core facade: orbits → anonymize → backbone → sample.
+// core facade: orbits → anonymize → sample.
 func TestPipeline(t *testing.T) {
 	g := datasets.Fig3()
 	orb, gens, err := OrbitPartition(g, nil)
@@ -28,30 +29,16 @@ func TestPipeline(t *testing.T) {
 	if !IsKSymmetric(after, 3) {
 		t.Fatal("anonymized graph not 3-symmetric")
 	}
-	bb := Backbone(res.Graph, res.Partition)
-	if bb.Graph.N() >= res.Graph.N() {
-		t.Fatal("backbone should shrink the anonymized graph")
-	}
-	s, err := SampleApproximate(res.Graph, res.Partition, g.N(), NewSamplingOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N() != g.N() {
-		t.Fatalf("sample size %d, want %d", s.N(), g.N())
-	}
-	s2, err := SampleExact(res.Graph, res.Partition, g.N(), NewSamplingOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.N() < g.N() {
-		t.Fatalf("exact sample too small: %d", s2.N())
-	}
-	min, err := MinimalAnonymize(g, orb, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min.VerticesAdded() > res.VerticesAdded() {
-		t.Fatal("minimal anonymization worse than plain")
+	for _, m := range []Sampler{sampling.SamplerApproximate, sampling.SamplerExact} {
+		ss, err := SampleBatch(res.Graph, res.Partition, g.N(), 2, &SamplingOptions{Seed: 1, Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range ss {
+			if s.N() < g.N() {
+				t.Fatalf("method %d: sample size %d, want ≥ %d", m, s.N(), g.N())
+			}
+		}
 	}
 	excl, err := AnonymizeF(g, orb, func(cell []int) int { return 1 })
 	if err != nil {
@@ -59,8 +46,5 @@ func TestPipeline(t *testing.T) {
 	}
 	if excl.VerticesAdded() != 0 {
 		t.Fatal("target 1 must be a no-op")
-	}
-	if NewGraph(3).N() != 3 {
-		t.Fatal("NewGraph wrong")
 	}
 }

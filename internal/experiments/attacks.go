@@ -22,7 +22,7 @@ func Table1(w io.Writer, e *Env) ([]stats.Summary, error) {
 		if err != nil {
 			return stats.Summary{}, err
 		}
-		return stats.Summarize(names[ni], g), nil
+		return stats.Summarize(names[ni], graph.NewCSR(g)), nil
 	})
 	if err != nil {
 		return nil, err
@@ -128,7 +128,7 @@ func BaselineAttack(w io.Writer, e *Env, k int) ([]AttackRow, error) {
 			return attackScheme{name: "k-degree", graph: kdeg.Graph, eAdded: kdeg.EdgesAdded}, nil
 		},
 		func(ctx context.Context) (attackScheme, error) {
-			res, err := ksym.AnonymizeCtx(ctx, g, orb, k)
+			res, err := ksym.AnonymizeFCtx(ctx, g, orb, ksym.ConstantTarget(k))
 			if err != nil {
 				return attackScheme{}, fmt.Errorf("experiments: k-symmetry failed: %w", err)
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"ksymmetry/internal/graph"
 	"ksymmetry/internal/ksym"
 	"ksymmetry/internal/parallel"
 	"ksymmetry/internal/sampling"
@@ -80,11 +81,12 @@ func Figure11(w io.Writer, e *Env, ks []int, fracs []float64, samples, pathPairs
 	if err != nil {
 		return nil, err
 	}
-	origDeg := stats.DegreeSample(g)
+	gc := graph.NewCSR(g)
+	origDeg := stats.DegreeSample(gc)
 	// Stream 0 is the original graph's path sample, shared by every
 	// sweep point (as in the serial sweep, which reseeded identically at
 	// each point).
-	origPath := stats.PathLengthSample(g, pathPairs, rng(e.Seed+606, 0))
+	origPath := stats.PathLengthSample(gc, pathPairs, rng(e.Seed+606, 0))
 	kjob, fjob := kfJobs(ks, fracs)
 	out, err := parallel.Map(e.ctx(), e.Workers, len(kjob), func(ctx context.Context, _, ji int) (Fig11Row, error) {
 		res, err := ksym.AnonymizeFCtx(ctx, g, orb, ksym.TopFractionTarget(g, kjob[ji], fjob[ji]))
@@ -103,8 +105,9 @@ func Figure11(w io.Writer, e *Env, ks []int, fracs []float64, samples, pathPairs
 		degS := make([]stats.Sample, len(sampleGraphs))
 		pathS := make([]stats.Sample, len(sampleGraphs))
 		err = parallel.ForEach(ctx, e.Workers, len(sampleGraphs), func(_ context.Context, _, i int) error {
-			degS[i] = stats.DegreeSample(sampleGraphs[i])
-			pathS[i] = stats.PathLengthSample(sampleGraphs[i], pathPairs, rng(pathSeed, i))
+			sc := graph.NewCSR(sampleGraphs[i])
+			degS[i] = stats.DegreeSample(sc)
+			pathS[i] = stats.PathLengthSample(sc, pathPairs, rng(pathSeed, i))
 			return nil
 		})
 		if err != nil {
@@ -148,11 +151,11 @@ func MinimalAnonymization(w io.Writer, e *Env, k int, networks []string) ([]MinR
 		if err != nil {
 			return MinRow{}, err
 		}
-		plain, err := ksym.AnonymizeCtx(ctx, g, orb, k)
+		plain, err := ksym.AnonymizeFCtx(ctx, g, orb, ksym.ConstantTarget(k))
 		if err != nil {
 			return MinRow{}, fmt.Errorf("experiments: minimal: %w", err)
 		}
-		min, err := ksym.MinimalAnonymizeCtx(ctx, g, orb, k)
+		min, err := ksym.MinimalAnonymizeFCtx(ctx, g, orb, ksym.ConstantTarget(k))
 		if err != nil {
 			return MinRow{}, fmt.Errorf("experiments: minimal: %w", err)
 		}

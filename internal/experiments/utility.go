@@ -55,7 +55,7 @@ type Fig8Row struct {
 // Sample i's RNG is derived from (seed, i), so the batch is identical
 // at every worker count.
 func drawSamples(ctx context.Context, e *Env, g *graph.Graph, orb *partition.Partition, k, count int, seed int64) ([]*graph.Graph, *ksym.Result, error) {
-	res, err := ksym.AnonymizeCtx(ctx, g, orb, k)
+	res, err := ksym.AnonymizeFCtx(ctx, g, orb, ksym.ConstantTarget(k))
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: anonymize: %w", err)
 	}
@@ -87,10 +87,11 @@ func figure8Row(ctx context.Context, e *Env, name string, ni, k, samples, pathPa
 	}
 	pathSeed := sampling.DeriveSeed(e.Seed+202, ni)
 
-	origDeg := stats.DegreeSample(g)
-	origPath := stats.PathLengthSample(g, pathPairs, rng(pathSeed, 0))
-	origClust := stats.ClusteringSample(g)
-	origRes, err := stats.ResilienceCtx(ctx, g, resilienceFracs, e.Workers)
+	gc := graph.NewCSR(g)
+	origDeg := stats.DegreeSample(gc)
+	origPath := stats.PathLengthSample(gc, pathPairs, rng(pathSeed, 0))
+	origClust := stats.ClusteringSample(gc)
+	origRes, err := stats.Resilience(ctx, gc, resilienceFracs, e.Workers)
 	if err != nil {
 		return Fig8Row{}, err
 	}
@@ -98,8 +99,8 @@ func figure8Row(ctx context.Context, e *Env, name string, ni, k, samples, pathPa
 	// One statistics pass per sampled graph, fanned out across the pool;
 	// sample i's path RNG rides stream i+1 of the network's path seed.
 	per, err := parallel.Map(ctx, e.Workers, len(sampleGraphs), func(ctx context.Context, _, i int) (sampleStats, error) {
-		s := sampleGraphs[i]
-		res, err := stats.ResilienceCtx(ctx, s, resilienceFracs, 1)
+		s := graph.NewCSR(sampleGraphs[i])
+		res, err := stats.Resilience(ctx, s, resilienceFracs, 1)
 		if err != nil {
 			return sampleStats{}, err
 		}
@@ -231,11 +232,12 @@ func Figure9(w io.Writer, e *Env, ks []int, maxSamples, pathPairs int, counts []
 		// sample, so the reference is identical across jobs; each job's
 		// per-sample draws ride its own derived sub-seed.
 		pathSeed := sampling.DeriveSeed(e.Seed+404, ji+1)
-		origDeg := stats.DegreeSample(g)
-		origPath := stats.PathLengthSample(g, pathPairs, rng(e.Seed+404, 0))
+		gc := graph.NewCSR(g)
+		origDeg := stats.DegreeSample(gc)
+		origPath := stats.PathLengthSample(gc, pathPairs, rng(e.Seed+404, 0))
 		sr := fig9Series{ksDeg: make([]float64, maxSamples), ksPath: make([]float64, maxSamples)}
 		err = parallel.ForEach(ctx, e.Workers, len(sampleGraphs), func(_ context.Context, _, i int) error {
-			s := sampleGraphs[i]
+			s := graph.NewCSR(sampleGraphs[i])
 			sr.ksDeg[i] = safeKS(origDeg, stats.DegreeSample(s))
 			sr.ksPath[i] = safeKS(origPath, stats.PathLengthSample(s, pathPairs, rng(pathSeed, i)))
 			return nil
@@ -294,12 +296,13 @@ func SamplerComparison(w io.Writer, e *Env, k, samples, pathPairs int) ([]Compar
 		return nil, err
 	}
 	ctx := e.ctx()
-	res, err := ksym.AnonymizeCtx(ctx, g, orb, k)
+	res, err := ksym.AnonymizeFCtx(ctx, g, orb, ksym.ConstantTarget(k))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: anonymize: %w", err)
 	}
-	origDeg := stats.DegreeSample(g)
-	origPath := stats.PathLengthSample(g, pathPairs, rng(e.Seed+505, 0))
+	gc := graph.NewCSR(g)
+	origDeg := stats.DegreeSample(gc)
+	origPath := stats.PathLengthSample(gc, pathPairs, rng(e.Seed+505, 0))
 
 	type cfg struct {
 		sampler string
@@ -334,8 +337,9 @@ func SamplerComparison(w io.Writer, e *Env, k, samples, pathPairs int) ([]Compar
 		pathS := make([]stats.Sample, len(sampleGraphs))
 		degS := make([]stats.Sample, len(sampleGraphs))
 		err = parallel.ForEach(ctx, e.Workers, len(sampleGraphs), func(_ context.Context, _, i int) error {
-			degS[i] = stats.DegreeSample(sampleGraphs[i])
-			pathS[i] = stats.PathLengthSample(sampleGraphs[i], pathPairs, rng(pathSeed, i))
+			sc := graph.NewCSR(sampleGraphs[i])
+			degS[i] = stats.DegreeSample(sc)
+			pathS[i] = stats.PathLengthSample(sc, pathPairs, rng(pathSeed, i))
 			return nil
 		})
 		if err != nil {

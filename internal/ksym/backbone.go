@@ -23,32 +23,20 @@ type BackboneResult struct {
 	OrigOf []int
 }
 
-// Backbone implements Algorithm 2: within every cell V of 𝒱, connected
-// components of the induced subgraph G[V] that are orbit copies of a
-// kept component — isomorphic via a mapping that preserves each
-// vertex's neighborhood outside V (the relation ≅_{ℒ(V)}) — are
+// BackboneWorkersCtx implements Algorithm 2: within every cell V of 𝒱,
+// connected components of the induced subgraph G[V] that are orbit
+// copies of a kept component — isomorphic via a mapping that preserves
+// each vertex's neighborhood outside V (the relation ≅_{ℒ(V)}) — are
 // removed. Passes repeat until no removal occurs, which reaches the
-// least element of the reduction lattice.
-func Backbone(g *graph.Graph, p *partition.Partition) *BackboneResult {
-	// context.Background is never cancelled, so BackboneCtx cannot fail.
-	bb, _ := BackboneCtx(context.Background(), g, p)
-	return bb
-}
-
-// BackboneCtx is Backbone under a context: every reduction pass polls
-// ctx.Err() per scanned component (component isomorphism checks are the
-// chunky unit of work here) and returns the context's error as soon as
-// it fires.
-func BackboneCtx(ctx context.Context, g *graph.Graph, p *partition.Partition) (*BackboneResult, error) {
-	return BackboneWorkersCtx(ctx, g, p, 1)
-}
-
-// BackboneWorkersCtx is BackboneCtx with the per-cell component
-// classification of each reduction pass fanned out across `workers`
+// least element of the reduction lattice. The per-cell component
+// classification of each pass is fanned out across `workers`
 // goroutines (0 or 1 = sequential, mirroring
 // automorphism.Options.Workers). Cells are independent within a pass —
 // the pairwise C_i ≅ C_j bucket tests never cross a cell boundary — so
-// the detected backbone is identical at every worker count.
+// the detected backbone is identical at every worker count. Every pass
+// polls ctx.Err() per scanned component (component isomorphism checks
+// are the chunky unit of work here) and returns the context's error as
+// soon as it fires.
 func BackboneWorkersCtx(ctx context.Context, g *graph.Graph, p *partition.Partition, workers int) (*BackboneResult, error) {
 	if p.N() != g.N() {
 		panic("ksym: partition does not match graph")
@@ -291,38 +279,19 @@ func backbonePass(ctx context.Context, g *graph.Graph, cellOf []int, workers int
 	return removed, total, nil
 }
 
-// MinimalAnonymize implements the §5.1 optimization: anonymize the
+// MinimalAnonymizeFCtx implements the §5.1 optimization: anonymize the
 // backbone of (G, orb) instead of G itself, so that the number of
 // newly-introduced vertices is minimized. Every cell is copied until it
 // is both at least as large as the corresponding cell of G (so the
 // original network embeds in the output) and at least as large as its
-// target.
-func MinimalAnonymize(g *graph.Graph, orb *partition.Partition, k int) (*Result, error) {
-	return MinimalAnonymizeCtx(context.Background(), g, orb, k)
-}
-
-// MinimalAnonymizeCtx is MinimalAnonymize under a context: both the
-// backbone detection and the copy loop poll the context with amortized
-// cost and return its error as soon as it fires.
-func MinimalAnonymizeCtx(ctx context.Context, g *graph.Graph, orb *partition.Partition, k int) (*Result, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("ksym: k must be ≥ 1, got %d", k)
-	}
-	return MinimalAnonymizeFCtx(ctx, g, orb, ConstantTarget(k))
-}
-
-// MinimalAnonymizeF is MinimalAnonymize with an arbitrary f-symmetry
-// target.
-func MinimalAnonymizeF(g *graph.Graph, orb *partition.Partition, target Target) (*Result, error) {
-	return MinimalAnonymizeFCtx(context.Background(), g, orb, target)
-}
-
-// MinimalAnonymizeFCtx is MinimalAnonymizeF under a context.
+// target. Both the backbone detection and the copy loop poll the
+// context with amortized cost and return its error as soon as it
+// fires.
 func MinimalAnonymizeFCtx(ctx context.Context, g *graph.Graph, orb *partition.Partition, target Target) (*Result, error) {
 	if err := orb.Validate(g.N()); err != nil {
 		return nil, fmt.Errorf("ksym: invalid partition: %w", err)
 	}
-	bb, err := BackboneCtx(ctx, g, orb)
+	bb, err := BackboneWorkersCtx(ctx, g, orb, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -8,14 +8,22 @@ import (
 	"ksymmetry/internal/automorphism"
 	"ksymmetry/internal/datasets"
 	"ksymmetry/internal/graph"
+	"ksymmetry/internal/partition"
 	"ksymmetry/internal/refine"
 )
+
+// backboneOf is the sequential backbone without a context, which
+// cannot fail.
+func backboneOf(g *graph.Graph, p *partition.Partition) *BackboneResult {
+	bb, _ := BackboneWorkersCtx(context.Background(), g, p, 1)
+	return bb
+}
 
 func TestBackboneFig7a(t *testing.T) {
 	// Fig. 7(a): the two components of the blue cell share external
 	// neighbors, so one is an orbit copy and is removed.
 	g := datasets.Fig7a()
-	bb := Backbone(g, orb(t, g))
+	bb := backboneOf(g, orb(t, g))
 	if bb.Graph.N() != 3 {
 		t.Fatalf("backbone N = %d, want 3 (hub + one edge-component)", bb.Graph.N())
 	}
@@ -28,7 +36,7 @@ func TestBackboneFig7b(t *testing.T) {
 	// Fig. 7(b): same components, different external neighbors: both
 	// survive.
 	g := datasets.Fig7b()
-	bb := Backbone(g, orb(t, g))
+	bb := backboneOf(g, orb(t, g))
 	if bb.Graph.N() != g.N() || bb.Graph.M() != g.M() {
 		t.Fatalf("backbone should equal the graph, got N=%d M=%d", bb.Graph.N(), bb.Graph.M())
 	}
@@ -40,7 +48,7 @@ func TestBackboneFig3(t *testing.T) {
 	// removed. No other cell collapses ({v4,v5} attach to different
 	// vertices, as do {v6,v7}).
 	g := datasets.Fig3()
-	bb := Backbone(g, orb(t, g))
+	bb := backboneOf(g, orb(t, g))
 	if bb.Graph.N() != 7 {
 		t.Fatalf("backbone N = %d, want 7 (only v2 removed)", bb.Graph.N())
 	}
@@ -59,8 +67,8 @@ func TestBackboneFig3(t *testing.T) {
 
 func TestBackboneIdempotent(t *testing.T) {
 	g := datasets.Fig3()
-	bb := Backbone(g, orb(t, g))
-	bb2 := Backbone(bb.Graph, bb.Partition)
+	bb := backboneOf(g, orb(t, g))
+	bb2 := backboneOf(bb.Graph, bb.Partition)
 	if bb2.Graph.N() != bb.Graph.N() || bb2.Graph.M() != bb.Graph.M() {
 		t.Fatal("backbone of a backbone changed")
 	}
@@ -70,12 +78,12 @@ func TestBackbonePreservedByAnonymization(t *testing.T) {
 	// Theorem 4: G and its k-symmetric version share the same backbone.
 	for _, g := range []*graph.Graph{datasets.Fig3(), datasets.Fig1(), datasets.Fig7a()} {
 		p := orb(t, g)
-		bbG := Backbone(g, p)
+		bbG := backboneOf(g, p)
 		res, err := Anonymize(g, p, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bbA := Backbone(res.Graph, res.Partition)
+		bbA := backboneOf(res.Graph, res.Partition)
 		if _, ok := graph.Isomorphic(bbG.Graph, bbA.Graph); !ok {
 			t.Fatalf("backbones differ: %d/%d vs %d/%d vertices/edges",
 				bbG.Graph.N(), bbG.Graph.M(), bbA.Graph.N(), bbA.Graph.M())
@@ -90,9 +98,9 @@ func TestBackboneOfOrbitCopySequence(t *testing.T) {
 	p := orb(t, g)
 	h, q := OrbitCopy(g, p, p.CellIndexOf(1)) // copy the leaf orbit
 	h, q = OrbitCopy(h, q, q.CellIndexOf(1))  // and again
-	bb := Backbone(h, q)
+	bb := backboneOf(h, q)
 	// The star's own backbone collapses the 3 leaves to 1.
-	want := Backbone(g, p)
+	want := backboneOf(g, p)
 	if _, ok := graph.Isomorphic(bb.Graph, want.Graph); !ok {
 		t.Fatalf("backbone %d/%d, want isomorphic to %d/%d",
 			bb.Graph.N(), bb.Graph.M(), want.Graph.N(), want.Graph.M())
@@ -109,7 +117,7 @@ func TestMinimalAnonymizeFig3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, err := MinimalAnonymize(g, p, 3)
+	min, err := MinimalAnonymizeFCtx(context.Background(), g, p, ConstantTarget(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +140,7 @@ func TestMinimalAnonymizeEmbedsOriginal(t *testing.T) {
 	// isomorphism on this small case.
 	g := datasets.Fig7a()
 	p := orb(t, g)
-	res, err := MinimalAnonymize(g, p, 2)
+	res, err := MinimalAnonymizeFCtx(context.Background(), g, p, ConstantTarget(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +156,10 @@ func TestMinimalAnonymizeEmbedsOriginal(t *testing.T) {
 func TestMinimalAnonymizeErrors(t *testing.T) {
 	g := datasets.Fig3()
 	p := orb(t, g)
-	if _, err := MinimalAnonymize(g, p, 0); err == nil {
-		t.Fatal("k=0 should error")
+	if _, err := MinimalAnonymizeFCtx(context.Background(), g, p, ConstantTarget(0)); err == nil {
+		t.Fatal("target 0 (k=0) should error")
 	}
-	if _, err := MinimalAnonymizeF(g, p, func([]int) int { return -1 }); err == nil {
+	if _, err := MinimalAnonymizeFCtx(context.Background(), g, p, func([]int) int { return -1 }); err == nil {
 		t.Fatal("negative target should error")
 	}
 }
@@ -167,7 +175,7 @@ func TestPropertyMinimalNeverWorse(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		min, err := MinimalAnonymize(g, p, 3)
+		min, err := MinimalAnonymizeFCtx(context.Background(), g, p, ConstantTarget(3))
 		if err != nil {
 			return false
 		}

@@ -22,7 +22,7 @@ func TestCancelMidCopy(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := AnonymizeCtx(ctx, g, p, 1<<20)
+		_, err := AnonymizeFCtx(ctx, g, p, ConstantTarget(1<<20))
 		errc <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -45,7 +45,7 @@ func TestDeadlineDuringBackbone(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := BackboneCtx(ctx, res.Graph, res.Partition)
+		_, err := BackboneWorkersCtx(ctx, res.Graph, res.Partition, 1)
 		errc <- err
 	}()
 	faulttest.ExpectErr(t, errc, context.DeadlineExceeded)
@@ -57,7 +57,7 @@ func TestCancelMidMinimalAnonymize(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := MinimalAnonymizeCtx(ctx, g, p, 1<<20)
+		_, err := MinimalAnonymizeFCtx(ctx, g, p, ConstantTarget(1<<20))
 		errc <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -71,7 +71,7 @@ func TestAnonymizeRejectsInvalidPartition(t *testing.T) {
 	if _, err := Anonymize(g, smaller, 2); err == nil || !strings.Contains(err.Error(), "invalid partition") {
 		t.Fatalf("mismatched partition: err = %v, want invalid-partition error", err)
 	}
-	if _, err := MinimalAnonymize(g, smaller, 2); err == nil || !strings.Contains(err.Error(), "invalid partition") {
+	if _, err := MinimalAnonymizeFCtx(context.Background(), g, smaller, ConstantTarget(2)); err == nil || !strings.Contains(err.Error(), "invalid partition") {
 		t.Fatalf("minimal with mismatched partition: err = %v", err)
 	}
 	var nilPart *partition.Partition

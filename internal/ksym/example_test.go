@@ -1,6 +1,7 @@
 package ksym_test
 
 import (
+	"context"
 	"fmt"
 
 	"ksymmetry/internal/automorphism"
@@ -22,11 +23,11 @@ func ExampleOrbitCopy() {
 }
 
 // The backbone collapses orbit copies back out of a graph (Algorithm 2).
-func ExampleBackbone() {
+func ExampleBackboneWorkersCtx() {
 	g := datasets.Fig3()
 	orb, _, _ := automorphism.OrbitPartition(g, nil)
 	res, _ := ksym.Anonymize(g, orb, 3)
-	bb := ksym.Backbone(res.Graph, res.Partition)
+	bb, _ := ksym.BackboneWorkersCtx(context.Background(), res.Graph, res.Partition, 1)
 	fmt.Printf("anonymized %d vertices → backbone %d vertices\n", res.Graph.N(), bb.Graph.N())
 	// Output:
 	// anonymized 18 vertices → backbone 7 vertices

@@ -45,11 +45,11 @@ func (c *canceller) tick(cost int) error {
 
 // Result is the outcome of an anonymization run.
 type Result struct {
-	// Graph is the anonymized graph G'. For Anonymize/AnonymizeF the
-	// original graph is exactly the subgraph induced by vertices
-	// 0..OriginalN-1 (only vertex/edge insertions are performed); for
-	// MinimalAnonymize the original embeds up to isomorphism, since the
-	// output is rebuilt from the backbone.
+	// Graph is the anonymized graph G'. For AnonymizeFCtx the original
+	// graph is exactly the subgraph induced by vertices 0..OriginalN-1
+	// (only vertex/edge insertions are performed); for
+	// MinimalAnonymizeFCtx the original embeds up to isomorphism, since
+	// the output is rebuilt from the backbone.
 	Graph *graph.Graph
 	// Partition is the resulting sub-automorphism partition 𝒱' of G':
 	// each cell is the union of an input cell with all of its copies.
@@ -181,32 +181,23 @@ func copyCell(g *graph.Graph, cellOf *[]int, cellID int, orig []int) {
 	}
 }
 
-// Anonymize implements Algorithm 1: repeatedly orbit-copy every cell of
-// the given sub-automorphism partition (normally Orb(G)) until each
-// cell, together with its copies, has at least k vertices. The returned
-// graph is k-symmetric (Theorem 2).
+// Anonymize is AnonymizeFCtx with ConstantTarget(k) and no context:
+// Algorithm 1 itself. k must be at least 1.
 func Anonymize(g *graph.Graph, orb *partition.Partition, k int) (*Result, error) {
-	return AnonymizeCtx(context.Background(), g, orb, k)
-}
-
-// AnonymizeCtx is Anonymize under a context: the copy loop polls
-// ctx.Err() every ~4096 copied vertices and returns the context's error
-// as soon as it fires.
-func AnonymizeCtx(ctx context.Context, g *graph.Graph, orb *partition.Partition, k int) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("ksym: k must be ≥ 1, got %d", k)
 	}
-	return AnonymizeFCtx(ctx, g, orb, ConstantTarget(k))
+	return AnonymizeFCtx(context.Background(), g, orb, ConstantTarget(k))
 }
 
-// AnonymizeF implements the f-symmetry generalization (Definition 5):
-// each cell must reach the size given by its target. With
-// ConstantTarget(k) it is exactly Algorithm 1.
-func AnonymizeF(g *graph.Graph, orb *partition.Partition, target Target) (*Result, error) {
-	return AnonymizeFCtx(context.Background(), g, orb, target)
-}
-
-// AnonymizeFCtx is AnonymizeF under a context.
+// AnonymizeFCtx implements Algorithm 1 in its f-symmetry generalization
+// (Definition 5): repeatedly orbit-copy every cell of the given
+// sub-automorphism partition (normally Orb(G)) until each cell,
+// together with its copies, reaches the size its target gives. With
+// ConstantTarget(k) it is exactly Algorithm 1, and the returned graph
+// is k-symmetric (Theorem 2). The copy loop polls ctx.Err() every
+// ~4096 copied vertices and returns the context's error as soon as it
+// fires.
 func AnonymizeFCtx(ctx context.Context, g *graph.Graph, orb *partition.Partition, target Target) (*Result, error) {
 	if err := orb.Validate(g.N()); err != nil {
 		return nil, fmt.Errorf("ksym: invalid partition: %w", err)

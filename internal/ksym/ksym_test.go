@@ -1,6 +1,7 @@
 package ksym
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -195,7 +196,7 @@ func TestAnonymizeErrors(t *testing.T) {
 	if _, err := Anonymize(g, wrong, 2); err == nil {
 		t.Fatal("mismatched partition should error")
 	}
-	if _, err := AnonymizeF(g, p, func([]int) int { return 0 }); err == nil {
+	if _, err := AnonymizeFCtx(context.Background(), g, p, func([]int) int { return 0 }); err == nil {
 		t.Fatal("target < 1 should error")
 	}
 }
@@ -255,7 +256,7 @@ func TestDegreeThresholdTarget(t *testing.T) {
 	g := datasets.Star(5) // center degree 5, leaves degree 1
 	p := orb(t, g)
 	target := DegreeThresholdTarget(g, 4, 3)
-	res, err := AnonymizeF(g, p, target)
+	res, err := AnonymizeFCtx(context.Background(), g, p, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestDegreeThresholdTarget(t *testing.T) {
 func TestTopFractionTarget(t *testing.T) {
 	g := datasets.Star(9) // 10 vertices; top 10% = the hub
 	p := orb(t, g)
-	res, err := AnonymizeF(g, p, TopFractionTarget(g, 3, 0.1))
+	res, err := AnonymizeFCtx(context.Background(), g, p, TopFractionTarget(g, 3, 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestTopFractionTarget(t *testing.T) {
 		t.Fatalf("excluding the hub should leave the star untouched, added %d", res.VerticesAdded())
 	}
 	// Fraction 0 protects everything.
-	res2, err := AnonymizeF(g, p, TopFractionTarget(g, 3, 0))
+	res2, err := AnonymizeFCtx(context.Background(), g, p, TopFractionTarget(g, 3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestExclusionReducesCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	excl, err := AnonymizeF(g, p, TopFractionTarget(g, 5, 0.07))
+	excl, err := AnonymizeFCtx(context.Background(), g, p, TopFractionTarget(g, 5, 0.07))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestQuotientVsBackboneFig6Style(t *testing.T) {
 	// anchors) survive in the backbone but merge in the quotient.
 	g := datasets.Fig7b()
 	p := orb(t, g)
-	bb := Backbone(g, p)
+	bb := backboneOf(g, p)
 	q := Quotient(g, p)
 	if bb.Graph.N() != g.N() {
 		t.Fatalf("backbone should preserve both modules: %d vertices", bb.Graph.N())

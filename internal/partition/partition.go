@@ -142,8 +142,8 @@ func Discrete(n int) *Partition {
 // the cell lists. The package's constructors enforce all of this, but
 // partitions also arrive from files (ReadFile) and from callers holding
 // the exposed cell slices, and anonymization with a corrupt partition
-// silently produces a corrupt graph — so boundary APIs (ksym.AnonymizeF
-// and friends) validate before copying.
+// silently produces a corrupt graph — so boundary APIs
+// (ksym.AnonymizeFCtx and friends) validate before copying.
 func (p *Partition) Validate(n int) error {
 	if p == nil {
 		return fmt.Errorf("partition: nil partition")

@@ -38,43 +38,6 @@ import (
 // and sort overhead dominate whatever the fan-out wins.
 const parallelRefineMinN = 2048
 
-// TotalDegreePartitionWorkersCSRCtx is TotalDegreePartitionCSRCtx over
-// a bounded worker pool. workers ≤ 0 means GOMAXPROCS; a resolved pool
-// of one (or a graph under the size cutover) runs the sequential
-// kernel. The partition is byte-identical at every worker count.
-func TotalDegreePartitionWorkersCSRCtx(ctx context.Context, c *graph.CSR, workers int) (*partition.Partition, error) {
-	if c.N() == 0 {
-		return partition.FromCellOf(nil), nil
-	}
-	return EquitableWorkersCSRCtx(ctx, c, partition.Unit(c.N()), workers)
-}
-
-// EquitableWorkersCSRCtx is EquitableCSRCtx over a bounded worker pool
-// (see TotalDegreePartitionWorkersCSRCtx).
-func EquitableWorkersCSRCtx(ctx context.Context, c *graph.CSR, initial *partition.Partition, workers int) (*partition.Partition, error) {
-	n := c.N()
-	if initial.N() != n {
-		panic("refine: partition size does not match graph")
-	}
-	w := parallel.Resolve(workers, n)
-	if w < 2 || n < parallelRefineMinN {
-		return EquitableCSRCtx(ctx, c, initial)
-	}
-	r := &roundRefiner{csr: c, workers: w}
-	p, ok, err := r.run(ctx, initial)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		// A signature collision merged two distinct profiles. The
-		// sequential kernel is exact; the answer stays deterministic
-		// because the fallback condition itself is deterministic.
-		obsParFallbacks.Inc()
-		return EquitableCSRCtx(ctx, c, initial)
-	}
-	return p, nil
-}
-
 // roundRefiner holds the flat per-round state. All slices are indexed
 // by vertex; order/buf hold the vertex permutation the re-key sort
 // maintains.

@@ -30,7 +30,7 @@ func TestParallelRefinementMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	for name, g := range parallelTestGraphs() {
 		c := graph.NewCSR(g)
-		want, err := TotalDegreePartitionCSRCtx(ctx, c)
+		want, err := equitable(ctx, c, partition.Unit(c.N()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestParallelRefinementNontrivialInitial(t *testing.T) {
 		cellOf[v] = v % 3
 	}
 	initial := partition.FromCellOf(cellOf)
-	want, err := EquitableCSRCtx(ctx, c, initial)
+	want, err := equitable(ctx, c, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestParallelRefinementSmallRoutesSequential(t *testing.T) {
 	ctx := context.Background()
 	g := datasets.Cycle(100)
 	c := graph.NewCSR(g)
-	want, err := TotalDegreePartitionCSRCtx(ctx, c)
+	want, err := equitable(ctx, c, partition.Unit(c.N()))
 	if err != nil {
 		t.Fatal(err)
 	}

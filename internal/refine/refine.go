@@ -8,8 +8,10 @@
 // Refinement is also the workhorse inside the individualization-
 // refinement automorphism search (package automorphism): Orb(G) is
 // always finer than any equitable partition, so refined cells bound the
-// search. Both entry points run on the worklist kernel in refiner.go;
-// the search additionally uses the incremental Refiner API directly.
+// search. Both entry points run on a frozen CSR view, through the
+// worklist kernel in refiner.go or, on large graphs with a worker pool,
+// the round-based pass in parallel.go; the search additionally uses the
+// incremental Refiner API directly.
 package refine
 
 import (
@@ -17,82 +19,70 @@ import (
 
 	"ksymmetry/internal/graph"
 	"ksymmetry/internal/intkey"
+	"ksymmetry/internal/parallel"
 	"ksymmetry/internal/partition"
 )
 
-// Equitable refines the initial partition of g's vertices until it is
-// equitable: any two vertices in the same cell have, for every cell C,
-// the same number of neighbors in C. The result is the coarsest
-// equitable partition finer than initial.
-func Equitable(g *graph.Graph, initial *partition.Partition) *partition.Partition {
-	p, _ := EquitableCtx(context.Background(), g, initial)
-	return p
-}
-
-// EquitableCtx is Equitable under a context: refinement polls the
-// context with amortized cost and returns its error (and a nil
-// partition) if it fires before the fixpoint is reached.
-func EquitableCtx(ctx context.Context, g *graph.Graph, initial *partition.Partition) (*partition.Partition, error) {
-	if initial.N() != g.N() {
-		panic("refine: partition size does not match graph")
-	}
-	r := NewRefiner(g)
-	r.Reset(initial)
-	if err := r.RunCtx(ctx); err != nil {
-		return nil, err
-	}
-	return r.Partition(), nil
-}
-
-// EquitableCSRCtx is EquitableCtx running on a caller-provided frozen
-// CSR view, for callers that already froze one (the pipeline's 𝒯𝒟𝒱
-// rung, the scale benches): it skips the per-call CSR build that
-// EquitableCtx's NewRefiner performs.
-func EquitableCSRCtx(ctx context.Context, c *graph.CSR, initial *partition.Partition) (*partition.Partition, error) {
-	if initial.N() != c.N() {
-		panic("refine: partition size does not match graph")
-	}
-	r := NewRefinerCSR(c)
-	r.Reset(initial)
-	if err := r.RunCtx(ctx); err != nil {
-		return nil, err
-	}
-	return r.Partition(), nil
-}
-
-// TotalDegreePartition returns 𝒯𝒟𝒱(G): the coarsest equitable partition
-// of G, obtained by stabilizing the unit partition. It is always coarser
-// than (or equal to) Orb(G).
-func TotalDegreePartition(g *graph.Graph) *partition.Partition {
-	p, _ := TotalDegreePartitionCtx(context.Background(), g)
-	return p
-}
-
-// TotalDegreePartitionCtx is TotalDegreePartition under a context.
-func TotalDegreePartitionCtx(ctx context.Context, g *graph.Graph) (*partition.Partition, error) {
-	if g.N() == 0 {
-		return partition.FromCellOf(nil), nil
-	}
-	return EquitableCtx(ctx, g, partition.Unit(g.N()))
-}
-
-// TotalDegreePartitionCSRCtx is TotalDegreePartitionCtx on a frozen CSR
-// view.
-func TotalDegreePartitionCSRCtx(ctx context.Context, c *graph.CSR) (*partition.Partition, error) {
+// TotalDegreePartitionWorkersCSRCtx returns 𝒯𝒟𝒱(G): the coarsest
+// equitable partition of G, obtained by stabilizing the unit partition.
+// It is always coarser than (or equal to) Orb(G). workers ≤ 0 means
+// GOMAXPROCS; a resolved pool of one (or a graph under the size
+// cutover) runs the sequential kernel. The partition is byte-identical
+// at every worker count.
+func TotalDegreePartitionWorkersCSRCtx(ctx context.Context, c *graph.CSR, workers int) (*partition.Partition, error) {
 	if c.N() == 0 {
 		return partition.FromCellOf(nil), nil
 	}
-	return EquitableCSRCtx(ctx, c, partition.Unit(c.N()))
+	return EquitableWorkersCSRCtx(ctx, c, partition.Unit(c.N()), workers)
 }
 
-// DegreePartition groups vertices by degree — the starting point of the
-// k-degree anonymity baseline and the first refinement step.
-func DegreePartition(g *graph.Graph) *partition.Partition {
-	degs := make([]int, g.N())
-	for v := range degs {
-		degs[v] = g.Degree(v)
+// TotalDegreePartition is TotalDegreePartitionWorkersCSRCtx on one
+// worker and a fresh CSR view of g, without a context.
+func TotalDegreePartition(g *graph.Graph) *partition.Partition {
+	p, _ := TotalDegreePartitionWorkersCSRCtx(context.Background(), graph.NewCSR(g), 1)
+	return p
+}
+
+// EquitableWorkersCSRCtx refines the initial partition of c's vertices
+// until it is equitable: any two vertices in the same cell have, for
+// every cell C, the same number of neighbors in C. The result is the
+// coarsest equitable partition finer than initial. Refinement polls the
+// context with amortized cost and returns its error (and a nil
+// partition) if it fires before the fixpoint is reached. Workers are
+// resolved as in TotalDegreePartitionWorkersCSRCtx.
+func EquitableWorkersCSRCtx(ctx context.Context, c *graph.CSR, initial *partition.Partition, workers int) (*partition.Partition, error) {
+	n := c.N()
+	if initial.N() != n {
+		panic("refine: partition size does not match graph")
 	}
-	return partition.FromCellOf(degs)
+	w := parallel.Resolve(workers, n)
+	if w < 2 || n < parallelRefineMinN {
+		return equitable(ctx, c, initial)
+	}
+	r := &roundRefiner{csr: c, workers: w}
+	p, ok, err := r.run(ctx, initial)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		// A signature collision merged two distinct profiles. The
+		// sequential kernel is exact; the answer stays deterministic
+		// because the fallback condition itself is deterministic.
+		obsParFallbacks.Inc()
+		return equitable(ctx, c, initial)
+	}
+	return p, nil
+}
+
+// equitable is the sequential worklist kernel behind
+// EquitableWorkersCSRCtx.
+func equitable(ctx context.Context, c *graph.CSR, initial *partition.Partition) (*partition.Partition, error) {
+	r := NewRefiner(c)
+	r.Reset(initial)
+	if err := r.RunCtx(ctx); err != nil {
+		return nil, err
+	}
+	return r.Partition(), nil
 }
 
 // IsEquitable reports whether p is equitable with respect to g.

@@ -20,7 +20,7 @@ import (
 //
 // The incremental workflow of the IR search is:
 //
-//	r := NewRefiner(g)
+//	r := NewRefiner(graph.NewCSR(g))
 //	r.ResetColors(initialColors)
 //	r.Run()                       // refine to the coarsest fixpoint
 //	base := r.Save()              // stable parent state, O(n) to restore
@@ -28,7 +28,7 @@ import (
 //	r.Restore(base)
 //	r.Individualize(v)            // split {v} out and enqueue only it
 //	r.Run()                       // re-refines only what v's split disturbs
-//	colors := r.CanonicalColors(nil)
+//	colors, err := r.CanonicalColors(ctx, nil)
 type Refiner struct {
 	// The graph is consumed through its frozen CSR view: the splitter
 	// scans and the quotient-profile pass of CanonicalColors are pure
@@ -81,18 +81,11 @@ type State struct {
 	numCells           int
 }
 
-// NewRefiner returns a Refiner for g with no partition loaded; call one
-// of the Reset methods before Run. It freezes its own CSR view of g:
-// callers that already hold one (or run several Refiners on the same
-// graph, like the IR search pool) should use NewRefinerCSR instead and
-// share it.
-func NewRefiner(g *graph.Graph) *Refiner {
-	return NewRefinerCSR(graph.NewCSR(g))
-}
-
-// NewRefinerCSR returns a Refiner running on an existing frozen CSR
-// view. The view is only read, so any number of Refiners may share it.
-func NewRefinerCSR(c *graph.CSR) *Refiner {
+// NewRefiner returns a Refiner running on a frozen CSR view, with no
+// partition loaded; call one of the Reset methods before Run. The view
+// is only read, so any number of Refiners may share it (the IR search
+// pool does).
+func NewRefiner(c *graph.CSR) *Refiner {
 	n := c.N()
 	off, adj := c.Rows()
 	return &Refiner{
@@ -501,14 +494,16 @@ func (r *Refiner) Partition() *partition.Partition {
 //
 // The result is only meaningful after Run; colors are comparable between
 // Refiners whose ResetColors/Individualize inputs correspond under an
-// isomorphism.
-func (r *Refiner) CanonicalColors(dst []int) []int {
+// isomorphism. A path-like quotient needs about one round per cell (an
+// individualized Cycle(1000) has 501 cells), so the rounds poll ctx on
+// RunCtx's cadence and stop with its error; dst is then incomplete.
+func (r *Refiner) CanonicalColors(ctx context.Context, dst []int) ([]int, error) {
 	if dst == nil || len(dst) != r.n {
 		dst = make([]int, r.n)
 	}
 	nc := r.numCells
 	if nc == 0 {
-		return dst[:0]
+		return dst[:0], nil
 	}
 	// Quotient profiles: the partition is equitable, so one representative
 	// per cell determines the whole cell's neighbor-count profile.
@@ -554,7 +549,15 @@ func (r *Refiner) CanonicalColors(dst []int) []int {
 	next := make([]int, nc)
 	type rc struct{ rank, count int }
 	pairs := make([]rc, 0, 16)
+	work := 0
 	for distinct < nc {
+		work += nc
+		if work >= ctxCheckWork {
+			work = 0
+			if err := ctx.Err(); err != nil {
+				return dst, err
+			}
+		}
 		for c := 0; c < nc; c++ {
 			pairs = pairs[:0]
 			for i, d := range profCell[c] {
@@ -594,7 +597,7 @@ func (r *Refiner) CanonicalColors(dst []int) []int {
 	for v := 0; v < r.n; v++ {
 		dst[v] = rank[r.cellOf[v]]
 	}
-	return dst
+	return dst, nil
 }
 
 func lessIntSlice(a, b []int) bool {

@@ -25,27 +25,23 @@ func DeriveSeed(seed int64, stream int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Batch draws count samples of size n from the published pair (G',𝒱')
-// across a bounded worker pool. Sample i is produced by an RNG seeded
-// with DeriveSeed(opts.Seed, i), so the returned slice is byte-identical
-// for every Options.Parallelism value — including 1, which runs the
-// same per-index streams inline. opts.Method selects the sampler
-// (approximate by default); opts.Rng must be nil (Batch owns the RNG
-// derivation).
+// Batch is BatchCtx without a context.
 func Batch(gp *graph.Graph, vp *partition.Partition, n, count int, opts *Options) ([]*graph.Graph, error) {
 	return BatchCtx(context.Background(), gp, vp, n, count, opts)
 }
 
-// BatchCtx is Batch under a context: cancellation propagates into every
+// BatchCtx draws count samples of size n from the published pair
+// (G',𝒱') across a bounded worker pool. Sample i is produced by an RNG
+// seeded with DeriveSeed(opts.Seed, i), so the returned slice is
+// byte-identical for every Options.Parallelism value — including 1,
+// which runs the same per-index streams inline. opts.Method selects the
+// sampler (approximate by default). Cancellation propagates into every
 // in-flight sample (each polls at the samplers' amortized intervals)
 // and unstarted samples are skipped. On error the sample slice is nil
 // and the error is the lowest-index failure (see parallel.ForEach).
 func BatchCtx(ctx context.Context, gp *graph.Graph, vp *partition.Partition, n, count int, opts *Options) ([]*graph.Graph, error) {
 	if opts == nil {
 		return nil, fmt.Errorf("sampling: Batch requires Options")
-	}
-	if opts.Rng != nil {
-		return nil, fmt.Errorf("sampling: Batch derives per-sample RNGs from Options.Seed; Options.Rng must be nil")
 	}
 	if count < 0 {
 		return nil, fmt.Errorf("sampling: negative sample count %d", count)
@@ -70,9 +66,8 @@ func BatchCtx(ctx context.Context, gp *graph.Graph, vp *partition.Partition, n, 
 	return parallel.Map(ctx, opts.Parallelism, count, func(ctx context.Context, _, i int) (*graph.Graph, error) {
 		rng := rand.New(rand.NewSource(DeriveSeed(opts.Seed, i)))
 		if opts.Method == SamplerExact {
-			o := &Options{Probabilities: probs, Rng: rng}
-			return ExactCtx(ctx, gp, vp, n, o)
+			return exact(ctx, gp, vp, n, probs, rng)
 		}
-		return approximateCSR(ctx, csr, vp, n, rng, probs)
+		return approximate(ctx, csr, vp, n, probs, rng)
 	})
 }

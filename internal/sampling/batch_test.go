@@ -3,7 +3,6 @@ package sampling
 import (
 	"bytes"
 	"context"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -11,6 +10,7 @@ import (
 	"ksymmetry/internal/faulttest"
 	"ksymmetry/internal/graph"
 	"ksymmetry/internal/ksym"
+	"ksymmetry/internal/partition"
 	"ksymmetry/internal/refine"
 )
 
@@ -109,19 +109,23 @@ func TestBatchSeedVariation(t *testing.T) {
 	}
 }
 
-// TestBatchRejectsSharedRng: a caller-supplied RNG cannot be shared
-// deterministically across workers, so Batch must refuse it.
-func TestBatchRejectsSharedRng(t *testing.T) {
+// TestBatchRejectsInvalidOptions: Batch validates its arguments once,
+// before any sample runs.
+func TestBatchRejectsInvalidOptions(t *testing.T) {
 	g, res := anonFig3(t, 3)
-	_, err := Batch(res.Graph, res.Partition, g.N(), 2, &Options{Rng: rand.New(rand.NewSource(1))})
-	if err == nil {
-		t.Fatal("Batch accepted Options.Rng")
-	}
 	if _, err := Batch(res.Graph, res.Partition, g.N(), 2, nil); err == nil {
 		t.Fatal("Batch accepted nil Options")
 	}
 	if _, err := Batch(res.Graph, res.Partition, g.N(), -1, &Options{}); err == nil {
 		t.Fatal("Batch accepted a negative count")
+	}
+	for _, m := range []Sampler{SamplerExact, SamplerApproximate} {
+		if _, err := Batch(res.Graph, res.Partition, g.N(), 2, &Options{Method: m, Probabilities: []float64{1}}); err == nil {
+			t.Fatalf("method %d: Batch accepted a wrong probability count", m)
+		}
+		if _, err := Batch(res.Graph, partition.Unit(2), 2, 2, &Options{Method: m}); err == nil {
+			t.Fatalf("method %d: Batch accepted a mismatched partition", m)
+		}
 	}
 }
 

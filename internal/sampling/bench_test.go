@@ -1,11 +1,13 @@
 package sampling
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"ksymmetry/internal/datasets"
+	"ksymmetry/internal/graph"
 	"ksymmetry/internal/ksym"
 	"ksymmetry/internal/refine"
 )
@@ -31,10 +33,11 @@ func BenchmarkSamplingBatch(b *testing.B) {
 	n, res := benchPair(b)
 	const count = 32
 	b.Run("serial-loop", func(b *testing.B) {
+		ctx, probs := context.Background(), InverseDegreeProbabilities(res.Graph, res.Partition)
 		for i := 0; i < b.N; i++ {
-			o := &Options{Rng: rand.New(rand.NewSource(1))}
+			rng := rand.New(rand.NewSource(1))
 			for s := 0; s < count; s++ {
-				if _, err := Approximate(res.Graph, res.Partition, n, o); err != nil {
+				if _, err := approximate(ctx, graph.NewCSR(res.Graph), res.Partition, n, probs, rng); err != nil {
 					b.Fatal(err)
 				}
 			}

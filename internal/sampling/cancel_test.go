@@ -7,6 +7,7 @@ import (
 
 	"ksymmetry/internal/datasets"
 	"ksymmetry/internal/faulttest"
+	"ksymmetry/internal/graph"
 	"ksymmetry/internal/ksym"
 	"ksymmetry/internal/refine"
 )
@@ -20,11 +21,12 @@ func TestCancelExactSampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	probs := InverseDegreeProbabilities(res.Graph, res.Partition)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ExactCtx(ctx, res.Graph, res.Partition, g.N(), &Options{Rng: rand.New(rand.NewSource(1))})
+		_, err := exact(ctx, res.Graph, res.Partition, g.N(), probs, rand.New(rand.NewSource(1)))
 		errc <- err
 	}()
 	faulttest.ExpectErr(t, errc, context.Canceled)
@@ -35,12 +37,13 @@ func TestCancelApproximateSampler(t *testing.T) {
 	// steps must notice a pre-cancelled context partway through.
 	g := datasets.ErdosRenyiGM(50000, 150000, 7)
 	p := refine.TotalDegreePartition(g)
+	c, probs := graph.NewCSR(g), InverseDegreeProbabilities(g, p)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	base := faulttest.Goroutines()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ApproximateCtx(ctx, g, p, g.N(), &Options{Rng: rand.New(rand.NewSource(2))})
+		_, err := approximate(ctx, c, p, g.N(), probs, rand.New(rand.NewSource(2)))
 		errc <- err
 	}()
 	faulttest.ExpectErr(t, errc, context.Canceled)

@@ -7,8 +7,8 @@ import "ksymmetry/internal/obs"
 // DFS steps reuse the walk's existing step counter — the per-draw and
 // per-step paths never touch an atomic.
 var (
-	// obsSamples counts completed sampler runs (Exact and Approximate,
-	// including every sample of a Batch).
+	// obsSamples counts completed sampler runs, one per sample of a
+	// Batch.
 	obsSamples = obs.Default.Scope("sampling").Counter("samples")
 	// obsRejections counts weighted-picker draws that landed on a cell
 	// that had become ineligible since the table was built.

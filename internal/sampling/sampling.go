@@ -33,27 +33,21 @@ const (
 	SamplerExact
 )
 
-// Options configures a sampler.
+// Options configures a Batch.
 type Options struct {
 	// Probabilities is p[1..|𝒱'|]: the chance of assigning the next
 	// vertex budget to each cell. nil selects the paper's default,
 	// inverse-degree weights (§4.2.2): real networks are right-skewed,
 	// so low-degree cells receive proportionally more of the budget.
 	Probabilities []float64
-	// Rng drives all random choices of a single-sample call (Exact,
-	// Approximate); it must not be nil there. Batch derives per-sample
-	// RNGs from Seed instead and requires Rng to be nil.
-	Rng *rand.Rand
-	// Seed is the base seed of a Batch call: sample i draws from an RNG
-	// seeded with DeriveSeed(Seed, i), so the batch's output is
-	// byte-identical at every worker count. Ignored by Exact and
-	// Approximate, which take Rng.
+	// Seed is the base seed: sample i draws from an RNG seeded with
+	// DeriveSeed(Seed, i), so the batch's output is byte-identical at
+	// every worker count.
 	Seed int64
-	// Parallelism bounds the worker pool of a Batch call; 0 selects
-	// GOMAXPROCS. Ignored by Exact and Approximate.
+	// Parallelism bounds the worker pool; 0 selects GOMAXPROCS.
 	Parallelism int
-	// Method selects the algorithm a Batch runs per sample
-	// (SamplerApproximate by default). Ignored by Exact and Approximate.
+	// Method selects the algorithm run per sample (SamplerApproximate
+	// by default).
 	Method Sampler
 }
 
@@ -86,13 +80,6 @@ func UniformProbabilities(p *partition.Partition) []float64 {
 		ws[i] = 1 / float64(p.NumCells())
 	}
 	return ws
-}
-
-func (o *Options) validate(g *graph.Graph, p *partition.Partition) ([]float64, error) {
-	if o == nil || o.Rng == nil {
-		return nil, fmt.Errorf("sampling: Options.Rng is required")
-	}
-	return o.resolveProbs(g, p)
 }
 
 // resolveProbs returns the per-cell budget weights — the caller's, or
@@ -210,33 +197,21 @@ func (wp *weightedPicker) pick(rng *rand.Rand) int {
 	}
 }
 
-// Exact implements Algorithm 3: detect the backbone of (G',𝒱'), then
+// exact implements Algorithm 3: detect the backbone of (G',𝒱'), then
 // distribute the n - |V(B)| remaining vertex budget over backbone cells
-// with probability p[i], subject to never exceeding the published
-// cell sizes, and regrow by orbit copying. The output has at least n
-// vertices and overshoots by at most the size of the last-copied cell.
-func Exact(gp *graph.Graph, vp *partition.Partition, n int, opts *Options) (*graph.Graph, error) {
-	return ExactCtx(context.Background(), gp, vp, n, opts)
-}
-
-// ExactCtx is Exact under a context: backbone detection, budget
-// distribution, and the regrow loop all poll the context with amortized
-// cost and return its error as soon as it fires.
-func ExactCtx(ctx context.Context, gp *graph.Graph, vp *partition.Partition, n int, opts *Options) (*graph.Graph, error) {
-	probs, err := opts.validate(gp, vp)
-	if err != nil {
-		return nil, err
-	}
-	if vp.N() != gp.N() {
-		return nil, fmt.Errorf("sampling: partition covers %d vertices, graph has %d", vp.N(), gp.N())
-	}
+// with probability probs[i] (the cell weights resolveProbs returns),
+// subject to never exceeding the published cell sizes, and regrow by
+// orbit copying. rng drives every random choice. The output has at
+// least n vertices and overshoots by at most the size of the
+// last-copied cell. Backbone detection, budget distribution, and the
+// regrow loop all poll the context with amortized cost and return its
+// error as soon as it fires.
+func exact(ctx context.Context, gp *graph.Graph, vp *partition.Partition, n int, probs []float64, rng *rand.Rand) (*graph.Graph, error) {
 	if n < 1 || n > gp.N() {
 		return nil, fmt.Errorf("sampling: target size %d outside [1,%d]", n, gp.N())
 	}
-	// Workers ≥ 2 also parallelize the backbone detection's per-cell
-	// classification; Batch leaves this at 0 per sample, since samples
-	// already occupy the pool.
-	bb, err := ksym.BackboneWorkersCtx(ctx, gp, vp, opts.Parallelism)
+	// One worker: the samples of a Batch already occupy the pool.
+	bb, err := ksym.BackboneWorkersCtx(ctx, gp, vp, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +241,7 @@ func ExactCtx(ctx context.Context, gp *graph.Graph, vp *partition.Partition, n i
 				return nil, err
 			}
 		}
-		i := picker.pick(opts.Rng)
+		i := picker.pick(rng)
 		if i < 0 {
 			break // no cell can grow further within the published sizes
 		}
@@ -298,39 +273,23 @@ func ExactCtx(ctx context.Context, gp *graph.Graph, vp *partition.Partition, n i
 	return h, nil
 }
 
-// Approximate implements Algorithms 4 and 5: distribute per-cell vertex
-// quotas S[i] (each cell contributes at least one vertex), then select
-// vertices by a depth-first traversal of G' from a random root,
-// honoring the quotas, and return the subgraph induced by the selected
-// vertices. The traversal only descends through selected vertices, so
-// the sample is connected when G' is well-covered; if the walk blocks
-// before reaching n vertices, it restarts from an unvisited vertex
-// (a documented extension — the paper leaves this case unspecified).
-func Approximate(gp *graph.Graph, vp *partition.Partition, n int, opts *Options) (*graph.Graph, error) {
-	return ApproximateCtx(context.Background(), gp, vp, n, opts)
-}
-
-// ApproximateCtx is Approximate under a context: the quota distribution
-// and the quota-guided DFS poll the context every ~4096 steps and return
-// its error as soon as it fires.
-func ApproximateCtx(ctx context.Context, gp *graph.Graph, vp *partition.Partition, n int, opts *Options) (*graph.Graph, error) {
-	probs, err := opts.validate(gp, vp)
-	if err != nil {
-		return nil, err
-	}
-	if vp.N() != gp.N() {
-		return nil, fmt.Errorf("sampling: partition covers %d vertices, graph has %d", vp.N(), gp.N())
-	}
-	return approximateCSR(ctx, graph.NewCSR(gp), vp, n, opts.Rng, probs)
-}
-
-// approximateCSR is the Algorithm 4/5 kernel on a frozen CSR view of
-// G'. The DFS is a pure neighbor walk, so it runs on the flat layout;
-// Batch freezes the view once and shares it across every sample, since
-// the view is only read. The visit order is identical to the adjacency-
-// slice walk (CSR rows preserve neighbor order), so outputs are
-// byte-identical.
-func approximateCSR(ctx context.Context, gp *graph.CSR, vp *partition.Partition, n int, rng *rand.Rand, probs []float64) (*graph.Graph, error) {
+// approximate implements Algorithms 4 and 5: distribute per-cell vertex
+// quotas S[i] (each cell contributes at least one vertex, the rest drawn
+// with probability probs[i]), then select vertices by a depth-first
+// traversal of G' from a random root, honoring the quotas, and return
+// the subgraph induced by the selected vertices. The traversal only
+// descends through selected vertices, so the sample is connected when
+// G' is well-covered; if the walk blocks before reaching n vertices, it
+// restarts from an unvisited vertex (a documented extension — the paper
+// leaves this case unspecified). rng drives every random choice.
+//
+// The DFS is a pure neighbor walk, so it runs on a frozen CSR view of
+// G'; Batch freezes the view once and shares it across every sample,
+// since the view is only read. The visit order is identical to the
+// adjacency-slice walk (CSR rows preserve neighbor order), so outputs
+// are byte-identical. The quota distribution and the DFS poll the
+// context every ~4096 steps and return its error as soon as it fires.
+func approximate(ctx context.Context, gp *graph.CSR, vp *partition.Partition, n int, probs []float64, rng *rand.Rand) (*graph.Graph, error) {
 	if n < vp.NumCells() || n > gp.N() {
 		return nil, fmt.Errorf("sampling: target size %d outside [%d,%d]", n, vp.NumCells(), gp.N())
 	}

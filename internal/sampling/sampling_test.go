@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,8 +33,14 @@ func anonFig3(t *testing.T, k int) (*graph.Graph, *ksym.Result) {
 	return g, res
 }
 
-func opts(seed int64) *Options {
-	return &Options{Rng: rand.New(rand.NewSource(seed))}
+// exactSample and approxSample run one sample the way Batch does: the
+// inverse-degree default weights and an RNG seeded with seed.
+func exactSample(gp *graph.Graph, vp *partition.Partition, n int, seed int64) (*graph.Graph, error) {
+	return exact(context.Background(), gp, vp, n, InverseDegreeProbabilities(gp, vp), rand.New(rand.NewSource(seed)))
+}
+
+func approxSample(gp *graph.Graph, vp *partition.Partition, n int, seed int64) (*graph.Graph, error) {
+	return approximate(context.Background(), graph.NewCSR(gp), vp, n, InverseDegreeProbabilities(gp, vp), rand.New(rand.NewSource(seed)))
 }
 
 func TestInverseDegreeProbabilities(t *testing.T) {
@@ -70,7 +77,7 @@ func TestUniformProbabilities(t *testing.T) {
 func TestExactSampleSize(t *testing.T) {
 	g, res := anonFig3(t, 3)
 	for seed := int64(0); seed < 10; seed++ {
-		s, err := Exact(res.Graph, res.Partition, g.N(), opts(seed))
+		s, err := exactSample(res.Graph, res.Partition, g.N(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +91,7 @@ func TestExactSampleSize(t *testing.T) {
 func TestExactSampleFullSize(t *testing.T) {
 	// Requesting |V(G')| must regrow everything.
 	_, res := anonFig3(t, 3)
-	s, err := Exact(res.Graph, res.Partition, res.Graph.N(), opts(7))
+	s, err := exactSample(res.Graph, res.Partition, res.Graph.N(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,27 +105,18 @@ func TestExactSampleFullSize(t *testing.T) {
 
 func TestExactErrors(t *testing.T) {
 	_, res := anonFig3(t, 2)
-	if _, err := Exact(res.Graph, res.Partition, 0, opts(1)); err == nil {
+	if _, err := exactSample(res.Graph, res.Partition, 0, 1); err == nil {
 		t.Fatal("n=0 should error")
 	}
-	if _, err := Exact(res.Graph, res.Partition, res.Graph.N()+1, opts(1)); err == nil {
+	if _, err := exactSample(res.Graph, res.Partition, res.Graph.N()+1, 1); err == nil {
 		t.Fatal("n > |V(G')| should error")
-	}
-	if _, err := Exact(res.Graph, res.Partition, 5, nil); err == nil {
-		t.Fatal("nil options should error")
-	}
-	if _, err := Exact(res.Graph, res.Partition, 5, &Options{Rng: rand.New(rand.NewSource(1)), Probabilities: []float64{1}}); err == nil {
-		t.Fatal("wrong probability count should error")
-	}
-	if _, err := Exact(res.Graph, partition.Unit(2), 5, opts(1)); err == nil {
-		t.Fatal("mismatched partition should error")
 	}
 }
 
 func TestApproximateSampleSize(t *testing.T) {
 	g, res := anonFig3(t, 3)
 	for seed := int64(0); seed < 10; seed++ {
-		s, err := Approximate(res.Graph, res.Partition, g.N(), opts(seed))
+		s, err := approxSample(res.Graph, res.Partition, g.N(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +128,7 @@ func TestApproximateSampleSize(t *testing.T) {
 
 func TestApproximateFullSize(t *testing.T) {
 	_, res := anonFig3(t, 2)
-	s, err := Approximate(res.Graph, res.Partition, res.Graph.N(), opts(3))
+	s, err := approxSample(res.Graph, res.Partition, res.Graph.N(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +144,7 @@ func TestApproximateRespectsQuotas(t *testing.T) {
 	// Every 𝒱' cell must contribute at least one vertex (S initialized
 	// to 1), and no cell more than its size.
 	g, res := anonFig3(t, 5)
-	s, err := Approximate(res.Graph, res.Partition, g.N(), opts(11))
+	s, err := approxSample(res.Graph, res.Partition, g.N(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +155,11 @@ func TestApproximateRespectsQuotas(t *testing.T) {
 
 func TestApproximateErrors(t *testing.T) {
 	_, res := anonFig3(t, 2)
-	if _, err := Approximate(res.Graph, res.Partition, 2, opts(1)); err == nil {
+	if _, err := approxSample(res.Graph, res.Partition, 2, 1); err == nil {
 		t.Fatal("n below cell count should error")
 	}
-	if _, err := Approximate(res.Graph, res.Partition, res.Graph.N()+1, opts(1)); err == nil {
+	if _, err := approxSample(res.Graph, res.Partition, res.Graph.N()+1, 1); err == nil {
 		t.Fatal("n above graph size should error")
-	}
-	if _, err := Approximate(res.Graph, res.Partition, 8, &Options{}); err == nil {
-		t.Fatal("missing rng should error")
 	}
 }
 
@@ -177,7 +172,7 @@ func TestApproximateDeepPath(t *testing.T) {
 	for v := 0; v+1 < n; v++ {
 		g.AddEdge(v, v+1)
 	}
-	s, err := Approximate(g, partition.Unit(n), n, opts(7))
+	s, err := approxSample(g, partition.Unit(n), n, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +187,10 @@ func TestApproximateDeepPath(t *testing.T) {
 func TestValidateRejectsEmptyPartition(t *testing.T) {
 	g := graph.New(0)
 	empty := partition.MustFromCells(0, nil)
-	if _, err := Exact(g, empty, 1, opts(1)); err == nil {
-		t.Fatal("Exact must reject a partition with no cells")
-	}
-	if _, err := Approximate(g, empty, 0, opts(1)); err == nil {
-		t.Fatal("Approximate must reject a partition with no cells")
+	for _, m := range []Sampler{SamplerExact, SamplerApproximate} {
+		if _, err := Batch(g, empty, 1, 1, &Options{Method: m}); err == nil {
+			t.Fatalf("method %d must reject a partition with no cells", m)
+		}
 	}
 }
 
@@ -209,7 +203,7 @@ func TestApproximateConnectedOnConnectedInput(t *testing.T) {
 	connected := 0
 	const trials = 20
 	for seed := int64(0); seed < trials; seed++ {
-		s, err := Approximate(res.Graph, res.Partition, g.N(), opts(seed))
+		s, err := approxSample(res.Graph, res.Partition, g.N(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +225,7 @@ func TestSamplersPreserveDegreeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Approximate(res.Graph, res.Partition, g.N(), opts(5))
+	s, err := approxSample(res.Graph, res.Partition, g.N(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +241,10 @@ func TestExactSamplerUniformVsInverse(t *testing.T) {
 	// Both probability schemes must produce valid samples (ablation).
 	g, res := anonFig3(t, 4)
 	for _, probs := range [][]float64{
-		nil,
+		InverseDegreeProbabilities(res.Graph, res.Partition),
 		UniformProbabilities(res.Partition),
 	} {
-		o := &Options{Rng: rand.New(rand.NewSource(2)), Probabilities: probs}
-		s, err := Exact(res.Graph, res.Partition, g.N(), o)
+		s, err := exact(context.Background(), res.Graph, res.Partition, g.N(), probs, rand.New(rand.NewSource(2)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,11 +256,11 @@ func TestExactSamplerUniformVsInverse(t *testing.T) {
 
 func TestExactDeterministicForSeed(t *testing.T) {
 	g, res := anonFig3(t, 3)
-	a, err := Exact(res.Graph, res.Partition, g.N(), opts(99))
+	a, err := exactSample(res.Graph, res.Partition, g.N(), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Exact(res.Graph, res.Partition, g.N(), opts(99))
+	b, err := exactSample(res.Graph, res.Partition, g.N(), 99)
 	if err != nil {
 		t.Fatal(err)
 	}

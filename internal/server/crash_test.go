@@ -116,7 +116,7 @@ func TestKillAtEveryCrashPoint(t *testing.T) {
 				// job must be present and reach done — completed before
 				// the kill, or replayed and re-run after it.
 				s := mustNew(t, Config{DataDir: dir, RetryBackoff: time.Millisecond})
-				defer gracefulStop(t, s)
+				defer gracefulStop(t, s) // idempotent; covers the early exits
 				for _, id := range accepted {
 					if _, ok := s.job(id); !ok {
 						if _, gone := s.tomb(id); gone {
@@ -130,6 +130,13 @@ func TestKillAtEveryCrashPoint(t *testing.T) {
 				}
 
 				// No journal/spool/result temp debris survives recovery.
+				// The restarted server may still be running a job the
+				// helper never acknowledged (compaction runs inside
+				// submit, after the accepted record is fsynced and before
+				// the 202), and that job's atomic result write is not
+				// debris. Stop gracefully first: Shutdown returns once
+				// every worker, and so every writer, has exited.
+				gracefulStop(t, s)
 				var debris []string
 				filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 					if err == nil && !d.IsDir() && strings.HasSuffix(path, ".tmp") {

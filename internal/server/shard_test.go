@@ -303,9 +303,12 @@ func TestShardBackendRecoveryRehires(t *testing.T) {
 	})
 
 	// The probe loop must notice: breaker half-opens on cooldown, the
-	// trial probe succeeds, the ring is whole again.
+	// trial probe succeeds, the ring is whole again. Wait for the closed
+	// breaker itself: Degraded() already reads false at half-open with no
+	// trial in flight, and a probe that claims the trial just then sends
+	// the next placement down the degraded path.
 	deadline = time.Now().Add(10 * time.Second)
-	for s.router.Degraded() {
+	for s.router.Backends()[0].State() != shard.BreakerClosed {
 		if time.Now().After(deadline) {
 			t.Fatal("router never rehired the resurrected backend")
 		}

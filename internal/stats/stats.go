@@ -3,7 +3,9 @@
 // distribution, shortest-path-length distribution over randomly sampled
 // vertex pairs, clustering-coefficient (transitivity) distribution,
 // resilience under hub removal, and the Kolmogorov-Smirnov statistic
-// used to compare distributions across samples (Figure 9).
+// used to compare distributions across samples (Figure 9). The graph
+// statistics read a frozen graph.CSR view; callers freeze each graph
+// once with graph.NewCSR.
 package stats
 
 import (
@@ -113,101 +115,6 @@ func AverageKS(ref Sample, samples []Sample) float64 {
 	return sum / float64(n)
 }
 
-// DegreeSample returns the degree of every vertex as a sample — the
-// "Degree" panel of Figure 8.
-func DegreeSample(g *graph.Graph) Sample {
-	vs := make([]float64, g.N())
-	for v := 0; v < g.N(); v++ {
-		vs[v] = float64(g.Degree(v))
-	}
-	return NewSample(vs)
-}
-
-// DegreeHistogram returns counts by degree, indexed 0..MaxDegree.
-func DegreeHistogram(g *graph.Graph) []int {
-	h := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.N(); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
-// PathLengthSample returns the shortest-path lengths between `pairs`
-// randomly sampled distinct vertex pairs (§4.3 uses 500). Disconnected
-// pairs are skipped; up to 20·pairs draws are attempted, so the result
-// can be shorter than requested on fragmented graphs.
-func PathLengthSample(g *graph.Graph, pairs int, rng *rand.Rand) Sample {
-	var vs []float64
-	if g.N() >= 2 {
-		for attempts := 0; len(vs) < pairs && attempts < 20*pairs; attempts++ {
-			u := rng.Intn(g.N())
-			v := rng.Intn(g.N())
-			if u == v {
-				continue
-			}
-			if d := g.ShortestPathLength(u, v); d > 0 {
-				vs = append(vs, float64(d))
-			}
-		}
-	}
-	return NewSample(vs)
-}
-
-// ClusteringSample returns the local clustering coefficient of every
-// vertex — the "Transitivity" panel of Figure 8.
-func ClusteringSample(g *graph.Graph) Sample {
-	vs := make([]float64, g.N())
-	for v := 0; v < g.N(); v++ {
-		vs[v] = g.LocalClustering(v)
-	}
-	return NewSample(vs)
-}
-
-// GlobalClustering returns the mean local clustering coefficient.
-func GlobalClustering(g *graph.Graph) float64 {
-	return ClusteringSample(g).Mean()
-}
-
-// Resilience returns, for each removal fraction, the fraction of the
-// original vertex count remaining in the largest connected component
-// after deleting the ⌈frac·N⌉ highest-degree vertices (descending
-// initial degree, the Albert-Jeong-Barabási attack of §4.3's
-// "Resiliency" panel).
-func Resilience(g *graph.Graph, fracs []float64) []float64 {
-	out, _ := ResilienceCtx(context.Background(), g, fracs, 1)
-	return out
-}
-
-// ResilienceCtx is Resilience with the per-fraction subgraph passes —
-// each an independent removal, induced subgraph, and component sweep —
-// fanned out across `workers` goroutines (0 = GOMAXPROCS, 1 =
-// sequential). The series is written by fraction index, so the result
-// is identical at every worker count.
-func ResilienceCtx(ctx context.Context, g *graph.Graph, fracs []float64, workers int) ([]float64, error) {
-	order := g.VerticesByDegreeDesc()
-	return parallel.Map(ctx, workers, len(fracs), func(_ context.Context, _, i int) (float64, error) {
-		m := int(float64(g.N())*fracs[i] + 0.5)
-		if m > g.N() {
-			m = g.N()
-		}
-		removed := make([]bool, g.N())
-		for _, v := range order[:m] {
-			removed[v] = true
-		}
-		keep := make([]int, 0, g.N()-m)
-		for v := 0; v < g.N(); v++ {
-			if !removed[v] {
-				keep = append(keep, v)
-			}
-		}
-		if len(keep) == 0 {
-			return 0, nil
-		}
-		sub, _ := g.InducedSubgraph(keep)
-		return float64(sub.LargestComponentSize()) / float64(g.N()), nil
-	})
-}
-
 // Merge pools several samples into one — the cross-sample aggregation
 // used when Figure 8 overlays 20 sampled graphs against the original.
 func Merge(samples []Sample) Sample {
@@ -227,21 +134,9 @@ type Summary struct {
 	AvgDeg          float64
 }
 
-// Summarize computes the Table 1 row for a graph.
-func Summarize(name string, g *graph.Graph) Summary {
-	return Summary{
-		Name:      name,
-		Vertices:  g.N(),
-		Edges:     g.M(),
-		MinDeg:    g.MinDegree(),
-		MaxDeg:    g.MaxDegree(),
-		MedianDeg: g.MedianDegree(),
-		AvgDeg:    g.AvgDegree(),
-	}
-}
-
-// DegreeSampleCSR is DegreeSample on a frozen CSR view.
-func DegreeSampleCSR(c *graph.CSR) Sample {
+// DegreeSample returns the degree of every vertex as a sample — the
+// "Degree" panel of Figure 8.
+func DegreeSample(c *graph.CSR) Sample {
 	vs := make([]float64, c.N())
 	for v := 0; v < c.N(); v++ {
 		vs[v] = float64(c.Degree(v))
@@ -249,8 +144,8 @@ func DegreeSampleCSR(c *graph.CSR) Sample {
 	return NewSample(vs)
 }
 
-// DegreeHistogramCSR is DegreeHistogram on a frozen CSR view.
-func DegreeHistogramCSR(c *graph.CSR) []int {
+// DegreeHistogram returns counts by degree, indexed 0..MaxDegree.
+func DegreeHistogram(c *graph.CSR) []int {
 	h := make([]int, c.MaxDegree()+1)
 	for v := 0; v < c.N(); v++ {
 		h[c.Degree(v)]++
@@ -258,10 +153,12 @@ func DegreeHistogramCSR(c *graph.CSR) []int {
 	return h
 }
 
-// PathLengthSampleCSR is PathLengthSample on a frozen CSR view: the
-// same draw sequence and early-exit BFS, so for a given rng state the
-// sample is identical to the adjacency-slice path.
-func PathLengthSampleCSR(c *graph.CSR, pairs int, rng *rand.Rand) Sample {
+// PathLengthSample returns the shortest-path lengths between `pairs`
+// randomly sampled distinct vertex pairs (§4.3 uses 500). Disconnected
+// pairs are skipped; up to 20·pairs draws are attempted, so the result
+// can be shorter than requested on fragmented graphs. Each pair runs an
+// early-exit BFS over the CSR rows.
+func PathLengthSample(c *graph.CSR, pairs int, rng *rand.Rand) Sample {
 	var vs []float64
 	if c.N() >= 2 {
 		for attempts := 0; len(vs) < pairs && attempts < 20*pairs; attempts++ {
@@ -278,8 +175,9 @@ func PathLengthSampleCSR(c *graph.CSR, pairs int, rng *rand.Rand) Sample {
 	return NewSample(vs)
 }
 
-// ClusteringSampleCSR is ClusteringSample on a frozen CSR view.
-func ClusteringSampleCSR(c *graph.CSR) Sample {
+// ClusteringSample returns the local clustering coefficient of every
+// vertex — the "Transitivity" panel of Figure 8.
+func ClusteringSample(c *graph.CSR) Sample {
 	vs := make([]float64, c.N())
 	for v := 0; v < c.N(); v++ {
 		vs[v] = c.LocalClustering(v)
@@ -287,23 +185,22 @@ func ClusteringSampleCSR(c *graph.CSR) Sample {
 	return NewSample(vs)
 }
 
-// GlobalClusteringCSR is GlobalClustering on a frozen CSR view.
-func GlobalClusteringCSR(c *graph.CSR) float64 {
-	return ClusteringSampleCSR(c).Mean()
+// GlobalClustering returns the mean local clustering coefficient.
+func GlobalClustering(c *graph.CSR) float64 {
+	return ClusteringSample(c).Mean()
 }
 
-// ResilienceCSR is Resilience on a frozen CSR view.
-func ResilienceCSR(c *graph.CSR, fracs []float64) []float64 {
-	out, _ := ResilienceCSRCtx(context.Background(), c, fracs, 1)
-	return out
-}
-
-// ResilienceCSRCtx is ResilienceCtx on a frozen CSR view. Instead of
-// materializing each surviving induced subgraph it runs the component
-// sweep directly over the surviving vertices, skipping removed
-// endpoints — at the million-node tiers this saves one full graph
-// build per fraction. The series is identical to the adjacency path.
-func ResilienceCSRCtx(ctx context.Context, c *graph.CSR, fracs []float64, workers int) ([]float64, error) {
+// Resilience returns, for each removal fraction, the fraction of the
+// original vertex count remaining in the largest connected component
+// after deleting the ⌈frac·N⌉ highest-degree vertices (descending
+// initial degree, the Albert-Jeong-Barabási attack of §4.3's
+// "Resiliency" panel). The per-fraction passes are independent and fan
+// out across `workers` goroutines (0 = GOMAXPROCS, 1 = sequential); the
+// series is written by fraction index, so it is identical at every
+// worker count. Each pass runs the component sweep directly over the
+// surviving vertices, skipping removed endpoints, instead of
+// materializing the induced subgraph.
+func Resilience(ctx context.Context, c *graph.CSR, fracs []float64, workers int) ([]float64, error) {
 	order := c.VerticesByDegreeDesc()
 	return parallel.Map(ctx, workers, len(fracs), func(_ context.Context, _, i int) (float64, error) {
 		if c.N() == 0 {
@@ -346,8 +243,8 @@ func ResilienceCSRCtx(ctx context.Context, c *graph.CSR, fracs []float64, worker
 	})
 }
 
-// SummarizeCSR computes the Table 1 row for a frozen CSR view.
-func SummarizeCSR(name string, c *graph.CSR) Summary {
+// Summarize computes the Table 1 row for a graph.
+func Summarize(name string, c *graph.CSR) Summary {
 	return Summary{
 		Name:      name,
 		Vertices:  c.N(),

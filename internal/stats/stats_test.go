@@ -2,6 +2,8 @@ package stats
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -120,7 +122,7 @@ func TestAverageKSSkipsEmptySamples(t *testing.T) {
 }
 
 func TestDegreeSampleAndHistogram(t *testing.T) {
-	g := datasets.Star(4)
+	g := graph.NewCSR(datasets.Star(4))
 	s := DegreeSample(g)
 	if s.Len() != 5 || s.Values()[4] != 4 {
 		t.Fatalf("degree sample = %v", s.Values())
@@ -132,7 +134,7 @@ func TestDegreeSampleAndHistogram(t *testing.T) {
 }
 
 func TestPathLengthSample(t *testing.T) {
-	g := datasets.Path(10)
+	g := graph.NewCSR(datasets.Path(10))
 	rng := rand.New(rand.NewSource(42))
 	s := PathLengthSample(g, 200, rng)
 	if s.Len() != 200 {
@@ -148,7 +150,7 @@ func TestPathLengthSample(t *testing.T) {
 func TestPathLengthSampleDisconnected(t *testing.T) {
 	// Two isolated vertices: no connected pairs, sample is empty rather
 	// than hanging.
-	g := graph.New(2)
+	g := graph.NewCSR(graph.New(2))
 	s := PathLengthSample(g, 10, rand.New(rand.NewSource(1)))
 	if s.Len() != 0 {
 		t.Fatalf("disconnected sample = %v", s.Values())
@@ -156,13 +158,13 @@ func TestPathLengthSampleDisconnected(t *testing.T) {
 }
 
 func TestPathLengthSampleTiny(t *testing.T) {
-	if s := PathLengthSample(graph.New(1), 5, rand.New(rand.NewSource(1))); s.Len() != 0 {
+	if s := PathLengthSample(graph.NewCSR(graph.New(1)), 5, rand.New(rand.NewSource(1))); s.Len() != 0 {
 		t.Fatal("single-vertex graph should yield empty sample")
 	}
 }
 
 func TestClusteringSample(t *testing.T) {
-	g := datasets.Complete(4)
+	g := graph.NewCSR(datasets.Complete(4))
 	s := ClusteringSample(g)
 	for _, v := range s.Values() {
 		if v != 1 {
@@ -172,15 +174,15 @@ func TestClusteringSample(t *testing.T) {
 	if got := GlobalClustering(g); got != 1 {
 		t.Fatalf("global clustering = %v", got)
 	}
-	if got := GlobalClustering(datasets.Cycle(5)); got != 0 {
+	if got := GlobalClustering(graph.NewCSR(datasets.Cycle(5))); got != 0 {
 		t.Fatalf("C5 clustering = %v, want 0", got)
 	}
 }
 
 func TestResilienceStar(t *testing.T) {
 	// Removing the hub of a star shatters it.
-	g := datasets.Star(9) // 10 vertices
-	r := Resilience(g, []float64{0, 0.1})
+	g := graph.NewCSR(datasets.Star(9)) // 10 vertices
+	r := resilience(t, g, []float64{0, 0.1})
 	if r[0] != 1 {
 		t.Fatalf("resilience at 0 = %v, want 1", r[0])
 	}
@@ -202,7 +204,7 @@ func TestResilienceMonotoneNonIncreasing(t *testing.T) {
 			}
 		}
 		fracs := []float64{0, 0.1, 0.2, 0.3, 0.5, 0.9, 1}
-		r := Resilience(g, fracs)
+		r := resilience(t, graph.NewCSR(g), fracs)
 		for i := 1; i < len(r); i++ {
 			if r[i] > r[i-1]+1e-12 {
 				return false
@@ -226,7 +228,7 @@ func TestMerge(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	g := datasets.Star(4)
+	g := graph.NewCSR(datasets.Star(4))
 	s := Summarize("star", g)
 	if s.Vertices != 5 || s.Edges != 4 || s.MinDeg != 1 || s.MaxDeg != 4 || s.MedianDeg != 1 {
 		t.Fatalf("summary = %+v", s)
@@ -236,15 +238,25 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// resilience is the sequential Resilience series.
+func resilience(t *testing.T, c *graph.CSR, fracs []float64) []float64 {
+	t.Helper()
+	r, err := Resilience(context.Background(), c, fracs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestResilienceCtxMatchesSequential: the fanned-out resilience series
 // must equal the sequential one at every worker count (each fraction's
 // pass is independent and written by index).
 func TestResilienceCtxMatchesSequential(t *testing.T) {
-	g := datasets.ErdosRenyiGM(200, 400, 5)
+	g := graph.NewCSR(datasets.ErdosRenyiGM(200, 400, 5))
 	fracs := []float64{0, 0.1, 0.2, 0.3, 0.5}
-	want := Resilience(g, fracs)
+	want := resilience(t, g, fracs)
 	for _, workers := range []int{2, 4, 8} {
-		got, err := ResilienceCtx(context.Background(), g, fracs, workers)
+		got, err := Resilience(context.Background(), g, fracs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -256,8 +268,51 @@ func TestResilienceCtxMatchesSequential(t *testing.T) {
 	}
 }
 
-// The CSR statistics must agree exactly with the adjacency-slice path:
-// same values, same draw sequences, same resilience series.
+// statsHash digests a statistic's printed value (%v prints float64s
+// in their shortest round-trip form, so equal hashes mean equal bits).
+func statsHash(v any) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(v))))[:16]
+}
+
+// slicePathPins holds what the adjacency-slice (*graph.Graph) versions
+// of these statistics returned before they were removed: the summary
+// row, hashes of the degree sample, degree histogram, clustering sample
+// and the 50-pair path-length sample drawn with seed 3, the mean
+// clustering, and the resilience series at sliceFracs.
+var slicePathPins = map[string]struct {
+	summary, degree, hist, clust, path string
+	global                             float64
+	res                                string
+}{
+	"ba": {
+		summary: "{Name:ba Vertices:300 Edges:596 MinDeg:2 MaxDeg:38 MedianDeg:3 AvgDeg:3.973333333333333}",
+		degree:  "9313baa6455b77b8", hist: "455cb15091bae41f", clust: "2086011270f1dd7c", path: "155f61bb92b146e6",
+		global: 0.0431693330425315,
+		res:    "[1 0.8933333333333333 0.7433333333333333 0.05333333333333334 0.013333333333333334]",
+	},
+	"ws": {
+		summary: "{Name:ws Vertices:200 Edges:400 MinDeg:2 MaxDeg:6 MedianDeg:4 AvgDeg:4}",
+		degree:  "b89042fd56c8aaec", hist: "4a523a4ec2947798", clust: "fed1fa00db0267f1", path: "d9f05f586cf90e83",
+		global: 0.3860000000000002,
+		res:    "[1 0.95 0.9 0.275 0.275]",
+	},
+	"empty": {
+		summary: "{Name:empty Vertices:0 Edges:0 MinDeg:0 MaxDeg:0 MedianDeg:0 AvgDeg:0}",
+		degree:  "4f53cda18c2baa0c", hist: "d0bca111f8628137", clust: "4f53cda18c2baa0c", path: "4f53cda18c2baa0c",
+		res: "[0 0 0 0 0]",
+	},
+	"iso": {
+		summary: "{Name:iso Vertices:5 Edges:0 MinDeg:0 MaxDeg:0 MedianDeg:0 AvgDeg:0}",
+		degree:  "d30a7d50aead69ea", hist: "1ae3592f8248c3f8", clust: "d30a7d50aead69ea", path: "4f53cda18c2baa0c",
+		res: "[0.2 0.2 0.2 0.2 0.2]",
+	},
+}
+
+var sliceFracs = []float64{0, 0.05, 0.1, 0.2, 0.4}
+
+// The CSR statistics must reproduce the removed adjacency-slice path
+// exactly: same values, same draw sequences, same resilience series, at
+// every worker count.
 func TestCSRStatsMatchSlicePath(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"ba":    datasets.BarabasiAlbert(300, 3, 2, 7),
@@ -265,64 +320,38 @@ func TestCSRStatsMatchSlicePath(t *testing.T) {
 		"empty": graph.New(0),
 		"iso":   graph.New(5),
 	}
-	fracs := []float64{0, 0.05, 0.1, 0.2, 0.4}
 	for name, g := range graphs {
+		want := slicePathPins[name]
 		c := graph.NewCSR(g)
-		if got, want := SummarizeCSR(name, c), Summarize(name, g); got != want {
-			t.Errorf("%s: SummarizeCSR = %+v, want %+v", name, got, want)
+		if got := fmt.Sprintf("%+v", Summarize(name, c)); got != want.summary {
+			t.Errorf("%s: Summarize = %s, want %s", name, got, want.summary)
 		}
-		if got, want := DegreeSampleCSR(c).Values(), DegreeSample(g).Values(); !equalFloats(got, want) {
-			t.Errorf("%s: DegreeSampleCSR values mismatch", name)
+		if got := statsHash(DegreeSample(c).Values()); got != want.degree {
+			t.Errorf("%s: DegreeSample hash = %s, want %s", name, got, want.degree)
 		}
-		gh, wh := DegreeHistogramCSR(c), DegreeHistogram(g)
-		if len(gh) != len(wh) {
-			t.Fatalf("%s: histogram length %d vs %d", name, len(gh), len(wh))
+		if got := statsHash(DegreeHistogram(c)); got != want.hist {
+			t.Errorf("%s: DegreeHistogram hash = %s, want %s", name, got, want.hist)
 		}
-		for d := range gh {
-			if gh[d] != wh[d] {
-				t.Errorf("%s: histogram[%d] = %d, want %d", name, d, gh[d], wh[d])
+		if got := statsHash(ClusteringSample(c).Values()); got != want.clust {
+			t.Errorf("%s: ClusteringSample hash = %s, want %s", name, got, want.clust)
+		}
+		if got := GlobalClustering(c); got != want.global {
+			t.Errorf("%s: GlobalClustering = %v, want %v", name, got, want.global)
+		}
+		if got := statsHash(PathLengthSample(c, 50, rand.New(rand.NewSource(3))).Values()); got != want.path {
+			t.Errorf("%s: PathLengthSample draw sequence diverged (hash %s, want %s)", name, got, want.path)
+		}
+		for _, w := range []int{1, 4} {
+			r, err := Resilience(context.Background(), c, sliceFracs, w)
+			if err != nil {
+				t.Fatalf("%s: Resilience workers=%d: %v", name, w, err)
 			}
-		}
-		if got, want := ClusteringSampleCSR(c).Values(), ClusteringSample(g).Values(); !equalFloats(got, want) {
-			t.Errorf("%s: ClusteringSampleCSR values mismatch", name)
-		}
-		if got, want := GlobalClusteringCSR(c), GlobalClustering(g); got != want {
-			t.Errorf("%s: GlobalClusteringCSR = %v, want %v", name, got, want)
-		}
-		cp := PathLengthSampleCSR(c, 50, rand.New(rand.NewSource(3)))
-		sp := PathLengthSample(g, 50, rand.New(rand.NewSource(3)))
-		if !equalFloats(cp.Values(), sp.Values()) {
-			t.Errorf("%s: PathLengthSampleCSR draw sequence diverged", name)
-		}
-		cr, sr := ResilienceCSR(c, fracs), Resilience(g, fracs)
-		for i := range fracs {
-			if cr[i] != sr[i] {
-				t.Errorf("%s: ResilienceCSR[%d] = %v, want %v", name, i, cr[i], sr[i])
-			}
-		}
-		cr4, err := ResilienceCSRCtx(context.Background(), c, fracs, 4)
-		if err != nil {
-			t.Fatalf("%s: ResilienceCSRCtx: %v", name, err)
-		}
-		for i := range fracs {
-			if cr4[i] != cr[i] {
-				t.Errorf("%s: ResilienceCSRCtx workers=4 [%d] = %v, want %v", name, i, cr4[i], cr[i])
+			if got := fmt.Sprint(r); got != want.res {
+				t.Errorf("%s: Resilience workers=%d = %s, want %s", name, w, got, want.res)
 			}
 		}
 		if got, want := c.IsConnected(), g.IsConnected(); got != want {
 			t.Errorf("%s: CSR.IsConnected = %v, want %v", name, got, want)
 		}
 	}
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
